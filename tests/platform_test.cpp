@@ -5,6 +5,10 @@
 // description, not via code changes).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "fuzz/program_gen.h"
 #include "iss/iss.h"
 #include "platform/platform.h"
 #include "trc/assembler.h"
@@ -128,6 +132,166 @@ _start: movi d5, 7
   plat.sim().setReg(xlat::srcD(5), 8);
   EXPECT_NE(compareFinalState(desc, ref, plat, obj).find("d5"),
             std::string::npos);
+}
+
+// ---- translated-path golden counters --------------------------------------
+//
+// Every observable of one translated run, pinned per (program, level):
+// the Figure-5 programs, fibonacci and three fixed-seed generated programs
+// at all four detail levels. A change to the V6X simulator, the sync
+// device or the bus bridge that moves a single cycle shows up here.
+
+struct GoldenRow {
+  const char* program;
+  const char* level;
+  uint64_t vliw_cycles;
+  uint64_t generated_cycles;
+  uint64_t stall_cycles;
+  uint64_t correction_cycles;
+  uint64_t timer_count;
+  uint32_t checksum;
+};
+
+std::string formatRow(const GoldenRow& r) {
+  return "{\"" + std::string(r.program) + "\", \"" + r.level + "\", " +
+         std::to_string(r.vliw_cycles) + ", " +
+         std::to_string(r.generated_cycles) + ", " +
+         std::to_string(r.stall_cycles) + ", " +
+         std::to_string(r.correction_cycles) + ", " +
+         std::to_string(r.timer_count) + ", " + std::to_string(r.checksum) +
+         "u},";
+}
+
+const GoldenRow kGoldenRows[] = {
+    {"gcd", "functional", 2032, 0, 0, 0, 0, 214u},
+    {"gcd", "static", 2712, 584, 281, 0, 584, 214u},
+    {"gcd", "branch-predict", 3035, 661, 212, 77, 661, 214u},
+    {"gcd", "icache", 14517, 701, 71, 117, 701, 214u},
+    {"dpcm", "functional", 28768, 0, 0, 0, 0, 5953u},
+    {"dpcm", "static", 42086, 18364, 6405, 0, 18364, 5953u},
+    {"dpcm", "branch-predict", 45336, 20863, 4055, 2499, 20863, 5953u},
+    {"dpcm", "icache", 232798, 20927, 911, 2563, 20927, 5953u},
+    {"fir", "functional", 28343, 0, 0, 0, 0, 439072u},
+    {"fir", "static", 32935, 15313, 724, 0, 15313, 439072u},
+    {"fir", "branch-predict", 37849, 17155, 406, 1842, 17155, 439072u},
+    {"fir", "icache", 194748, 17235, 174, 1922, 17235, 439072u},
+    {"ellip", "functional", 13842, 0, 0, 0, 0, 972866456u},
+    {"ellip", "static", 19487, 15375, 5126, 0, 15375, 972866456u},
+    {"ellip", "branch-predict", 20000, 15888, 4103, 513, 15888, 972866456u},
+    {"ellip", "icache", 122115, 15968, 79, 593, 15968, 972866456u},
+    {"sieve", "functional", 43948, 0, 0, 0, 0, 125u},
+    {"sieve", "static", 60559, 20793, 8961, 0, 20793, 125u},
+    {"sieve", "branch-predict", 66198, 23589, 6116, 2796, 23589, 125u},
+    {"sieve", "icache", 314610, 23653, 759, 2860, 23653, 125u},
+    {"subband", "functional", 10357, 0, 0, 0, 0, 1467904u},
+    {"subband", "static", 14726, 10800, 3709, 0, 10800, 1467904u},
+    {"subband", "branch-predict", 15216, 11290, 2735, 490, 11290, 1467904u},
+    {"subband", "icache", 96556, 11426, 135, 626, 11426, 1467904u},
+    {"fibonacci", "functional", 76333, 0, 0, 0, 0, 2242768436u},
+    {"fibonacci", "static", 111262, 42486, 25561, 0, 42486, 2242768436u},
+    {"fibonacci", "branch-predict", 119903, 51127, 8822, 8641, 51127, 2242768436u},
+    {"fibonacci", "icache", 376345, 51159, 210, 8673, 51159, 2242768436u},
+    {"gen11", "functional", 65, 0, 0, 0, 0, 0u},
+    {"gen11", "static", 112, 57, 36, 0, 57, 0u},
+    {"gen11", "branch-predict", 115, 60, 33, 3, 60, 0u},
+    {"gen11", "icache", 688, 148, 86, 91, 148, 0u},
+    {"gen22", "functional", 292, 0, 0, 0, 0, 4294965930u},
+    {"gen22", "static", 445, 194, 110, 0, 194, 4294965930u},
+    {"gen22", "branch-predict", 470, 219, 66, 25, 219, 4294965930u},
+    {"gen22", "icache", 2298, 283, 64, 89, 283, 4294965930u},
+    {"gen33", "functional", 78, 0, 0, 0, 0, 1173u},
+    {"gen33", "static", 110, 33, 22, 0, 33, 1173u},
+    {"gen33", "branch-predict", 110, 33, 22, 0, 33, 1173u},
+    {"gen33", "icache", 504, 81, 45, 48, 81, 1173u},
+};
+
+struct GoldenProgram {
+  std::string name;
+  elf::Object object;
+  bool generated = false;  ///< folds its state into d9, no `result` word
+};
+
+const std::vector<GoldenProgram>& goldenPrograms() {
+  static const std::vector<GoldenProgram> programs = [] {
+    std::vector<GoldenProgram> out;
+    std::vector<std::string> names = workloads::figure5Names();
+    names.push_back("fibonacci");
+    for (const std::string& name : names) {
+      out.push_back({name, workloads::assemble(workloads::get(name)), false});
+    }
+    for (const uint32_t seed : {11u, 22u, 33u}) {
+      out.push_back({"gen" + std::to_string(seed),
+                     trc::assemble(fuzz::ProgramGenerator(seed).generate()),
+                     true});
+    }
+    return out;
+  }();
+  return programs;
+}
+
+constexpr xlat::DetailLevel kGoldenLevels[] = {
+    xlat::DetailLevel::kFunctional, xlat::DetailLevel::kStatic,
+    xlat::DetailLevel::kBranchPredict, xlat::DetailLevel::kICache};
+
+/// Translates `p` at `level` and runs it; `slice` > 0 drives the V6X
+/// through repeated sim().run(slice) calls before the final run().
+GoldenRow goldenRun(const GoldenProgram& p, xlat::DetailLevel level,
+                    uint64_t slice) {
+  const arch::ArchDescription desc = defaultArch();
+  xlat::TranslateOptions opts;
+  opts.level = level;
+  const xlat::TranslationResult t = xlat::translate(desc, p.object, opts);
+  EmulationPlatform plat(desc, t.image);
+  if (slice > 0) {
+    while (plat.sim().run(slice) == vliw::RunState::kMaxCycles) {
+    }
+  }
+  const RunResult r = plat.run();
+  EXPECT_EQ(r.state, vliw::RunState::kHalted) << p.name;
+  uint32_t checksum = plat.srcD(9);
+  if (!p.generated) {
+    const uint32_t addr = p.object.findSymbol("result")->value;
+    const MemRegion* region = desc.memory_map.find(addr);
+    const uint32_t delta = region != nullptr ? region->remap(addr) - addr : 0;
+    checksum = workloads::readChecksum(p.object, plat.sim().memory(), delta);
+  }
+  return {p.name.c_str(),         xlat::detailLevelName(level),
+          r.vliw_cycles,          r.generated_cycles,
+          r.sync_stall_cycles,    r.correction_cycles,
+          plat.board().timer.count(), checksum};
+}
+
+TEST(TranslatedPathGolden, CountersMatchTable) {
+  std::vector<std::string> actual;
+  for (const GoldenProgram& p : goldenPrograms()) {
+    for (const xlat::DetailLevel level : kGoldenLevels) {
+      actual.push_back(formatRow(goldenRun(p, level, 0)));
+    }
+  }
+  std::vector<std::string> golden;
+  for (const GoldenRow& row : kGoldenRows) {
+    golden.push_back(formatRow(row));
+  }
+  std::string table;  // the actual rows, pasteable into kGoldenRows
+  for (const std::string& row : actual) {
+    table += row + "\n";
+  }
+  ASSERT_EQ(actual.size(), golden.size()) << table;
+  for (size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i], golden[i]);
+  }
+}
+
+TEST(TranslatedPathGolden, RunSlicingDoesNotChangeTheRow) {
+  for (const GoldenProgram& p : goldenPrograms()) {
+    for (const xlat::DetailLevel level : kGoldenLevels) {
+      const std::string whole = formatRow(goldenRun(p, level, 0));
+      for (const uint64_t slice : {1u, 7u, 4096u}) {
+        EXPECT_EQ(formatRow(goldenRun(p, level, slice)), whole)
+            << "slice " << slice;
+      }
+    }
+  }
 }
 
 // ---- architecture variants (retargetability via the description) --------
