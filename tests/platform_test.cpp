@@ -294,6 +294,62 @@ TEST(TranslatedPathGolden, RunSlicingDoesNotChangeTheRow) {
   }
 }
 
+// A polling driver drives the bus bridge while generation is active, so
+// its accesses wait for generated SoC edges. The bus log (SoC cycle and
+// value per access) and the VLIW-side cycles are pinned per level and
+// generation rate.
+TEST(TranslatedPathGolden, BridgeHandshakeTimingMatchesTable) {
+  const elf::Object obj = trc::assemble(R"(
+_start: movha a0, 0xf000
+        movi d3, 50
+wait:   ldw d1, [a0]0x100
+        lt d2, d1, d3
+        jnz16 d2, wait
+        movi d4, 79
+        stw d4, [a0]0x200
+        ldw d5, [a0]0x204
+        halt
+)");
+  struct Row {
+    xlat::DetailLevel level;
+    unsigned rate;
+    uint64_t vliw_cycles;
+    uint64_t stall_cycles;
+    const char* bus_log;  ///< "soc_cycle:value" per transaction
+  };
+  const Row rows[] = {
+      {xlat::DetailLevel::kStatic, 1, 231, 1,
+       "4:4 8:8 12:12 16:16 20:20 24:24 28:28 32:32 36:36 40:40 44:44 "
+       "48:48 52:52 56:79 58:1"},
+      {xlat::DetailLevel::kStatic, 3, 294, 64,
+       "3:3 7:7 11:11 15:15 19:19 23:23 27:27 31:31 35:35 39:39 43:43 "
+       "47:47 51:51 55:79 56:1"},
+      {xlat::DetailLevel::kICache, 1, 649, 16,
+       "14:14 27:27 32:32 37:37 42:42 47:47 52:52 58:79 58:1"},
+      {xlat::DetailLevel::kICache, 3, 697, 64,
+       "14:14 27:27 32:32 37:37 42:42 47:47 52:52 58:79 58:1"},
+  };
+  const arch::ArchDescription desc = defaultArch();
+  for (const Row& row : rows) {
+    xlat::TranslateOptions opts;
+    opts.level = row.level;
+    const xlat::TranslationResult t = xlat::translate(desc, obj, opts);
+    PlatformConfig config;
+    config.vliw_cycles_per_soc_cycle = row.rate;
+    EmulationPlatform plat(desc, t.image, config);
+    const RunResult r = plat.run();
+    ASSERT_EQ(r.state, vliw::RunState::kHalted);
+    std::string log;
+    for (const soc::Transaction& tr : plat.board().bus.log()) {
+      log += (log.empty() ? "" : " ") + std::to_string(tr.soc_cycle) + ":" +
+             std::to_string(tr.value);
+    }
+    EXPECT_EQ(r.vliw_cycles, row.vliw_cycles) << row.rate;
+    EXPECT_EQ(r.sync_stall_cycles, row.stall_cycles) << row.rate;
+    EXPECT_EQ(log, row.bus_log) << row.rate;
+  }
+}
+
 // ---- architecture variants (retargetability via the description) --------
 
 struct ArchVariant {
