@@ -13,7 +13,8 @@ void ICacheModel::validate() const {
   CABT_CHECK(isPowerOfTwo(sets), "cache sets must be a power of two");
   CABT_CHECK(isPowerOfTwo(line_bytes) && line_bytes >= 4,
              "cache line size must be a power of two >= 4");
-  CABT_CHECK(ways >= 1 && ways <= 8, "cache associativity out of range");
+  // The LRU state packs one 8-bit age per way into a 32-bit word.
+  CABT_CHECK(ways >= 1 && ways <= 4, "cache associativity out of range");
 }
 
 ArchDescription ArchDescription::defaultTc10gp() {

@@ -85,6 +85,9 @@ class Debugger {
   /// Reads source-address-space memory (applies the data remapping).
   [[nodiscard]] uint32_t readMemory(uint32_t src_addr, unsigned size) const;
 
+  /// The platform under debug. The debugger runs the V6X directly, so
+  /// read board peripherals through platform().board(), which brings the
+  /// SoC bus up to the cycles generated so far (DESIGN.md section 5.4).
   [[nodiscard]] platform::EmulationPlatform& platform() {
     return platform_;
   }

@@ -96,6 +96,9 @@ void Campaign::arm(platform::ReferenceBoard& board) {
       case FaultKind::kMemFlip: {
         CoreFault f;
         f.cycle = spec.cycle;
+        // Range-check before narrowing, or index=256 would fire on d0.
+        CABT_CHECK(spec.index < 16,
+                   "fault register index out of range: " << spec.index);
         f.index = static_cast<uint8_t>(spec.index);
         f.addr = spec.addr;
         f.mask = spec.mask;

@@ -18,58 +18,20 @@ EmulationPlatform::EmulationPlatform(const arch::ArchDescription& desc,
   const MemRegion* io = desc.memory_map.findNamed("io");
   CABT_CHECK(io != nullptr, "architecture has no 'io' region");
   board_ = std::make_unique<soc::StandardPeripherals>(io->base);
-  sync_ = std::make_unique<soc::SyncDevice>(&board_->bus,
-                                            config_.vliw_cycles_per_soc_cycle);
+  sync_ = std::make_unique<soc::SyncDevice>(
+      &board_->bus, config_.vliw_cycles_per_soc_cycle, &sim_.stats().cycles);
   sync_handler_ = std::make_unique<SyncHandler>(sync_.get());
   bridge_ = std::make_unique<BridgeHandler>(&board_->bus, sync_.get(),
                                             io->base, io->size);
   sim_.loadProgram(image);
   sim_.addIoHandler(sync_handler_.get());
   sim_.addIoHandler(bridge_.get());
-  sim_.setCycleHook([this] {
-    bridge_->setEdge(sync_->tickVliwCycle());
-  });
 }
 
-namespace {
-
-/// The V6X core as an event-kernel process: one quantum of VLIW cycles
-/// per activation. The synchronization device and the bus bridge stay in
-/// the VLIW clock domain (the cycle hook), exactly as before — the
-/// kernel only owns the slicing, so the run is bit-identical to the old
-/// monolithic run() loop.
-class VliwProcess : public sim::Process {
- public:
-  VliwProcess(vliw::V6xSim* sim, uint64_t max_cycles)
-      : sim::Process("v6x"), sim_(sim), budget_(max_cycles) {}
-
-  void activate(sim::Kernel& kernel) override {
-    const uint64_t slice = std::min(kernel.quantum(), budget_);
-    const uint64_t before = sim_->stats().cycles;
-    state_ = sim_->run(slice);
-    budget_ -= sim_->stats().cycles - before;
-    if (state_ == vliw::RunState::kMaxCycles && budget_ > 0) {
-      kernel.sync(this, kernel.now() + slice);
-    }
-  }
-
-  [[nodiscard]] vliw::RunState state() const { return state_; }
-
- private:
-  vliw::V6xSim* sim_;
-  uint64_t budget_;
-  vliw::RunState state_ = vliw::RunState::kRunning;
-};
-
-}  // namespace
-
 RunResult EmulationPlatform::run() {
-  sim::Kernel kernel(config_.quantum);
-  VliwProcess proc(&sim_, config_.max_cycles);
-  kernel.addProcess(&proc);
-  kernel.run();
   RunResult r;
-  r.state = proc.state();
+  r.state = sim_.run(config_.max_cycles);
+  sync_->advanceBus();
   r.vliw_cycles = sim_.stats().cycles;
   r.generated_cycles = sync_->totalGenerated();
   r.sync_stall_cycles = sim_.stats().stall_cycles;

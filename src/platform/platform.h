@@ -40,8 +40,6 @@ struct PlatformConfig {
   unsigned vliw_cycles_per_soc_cycle = 1;
   uint64_t vliw_clock_hz = 200'000'000;
   uint64_t max_cycles = 4'000'000'000ull;
-  /// VLIW cycles the core process runs per event-kernel activation.
-  uint64_t quantum = 65'536;
 };
 
 /// Memory-mapped synchronization device front end for the V6X core.
@@ -103,23 +101,22 @@ class BridgeHandler : public vliw::IoHandler {
     return addr >= io_base_ && addr - io_base_ < io_size_;
   }
   bool ready(uint32_t, bool) override {
-    return !sync_->busy() || edge_this_cycle_;
+    return !sync_->busy() || sync_->edge();
   }
   uint32_t load(uint32_t addr, unsigned size) override {
+    sync_->advanceBus();
     return bus_->read(addr, size);
   }
   void store(uint32_t addr, uint32_t value, unsigned size) override {
+    sync_->advanceBus();
     bus_->write(addr, value, size);
   }
-
-  void setEdge(bool edge) { edge_this_cycle_ = edge; }
 
  private:
   soc::SocBus* bus_;
   soc::SyncDevice* sync_;
   uint32_t io_base_;
   uint32_t io_size_;
-  bool edge_this_cycle_ = false;
 };
 
 struct RunResult {
@@ -142,7 +139,11 @@ class EmulationPlatform {
   [[nodiscard]] vliw::V6xSim& sim() { return sim_; }
   [[nodiscard]] const vliw::V6xSim& sim() const { return sim_; }
   [[nodiscard]] soc::SyncDevice& sync() { return *sync_; }
-  [[nodiscard]] soc::StandardPeripherals& board() { return *board_; }
+  /// The SoC side, with the bus clocked up to the cycles generated so far.
+  [[nodiscard]] soc::StandardPeripherals& board() {
+    sync_->advanceBus();
+    return *board_;
+  }
   [[nodiscard]] const PlatformConfig& config() const { return config_; }
 
   /// Reads the V6X register holding source data register Di.

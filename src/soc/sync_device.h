@@ -8,8 +8,9 @@
 // A second write port adds dynamically computed correction cycles
 // (branch prediction, instruction cache — paper section 3.4).
 //
-// Here the device drives the SocBus clock: every emitted cycle clocks all
-// attached peripherals.
+// Here nothing ticks the device: its state is arithmetic on the VLIW
+// cycle counter, and advanceBus() clocks the SoC bus up to the generated
+// count when the SoC side is observed (DESIGN.md section 5.4).
 #pragma once
 
 #include <cstdint>
@@ -29,9 +30,11 @@ class SyncDevice {
   static constexpr uint32_t kWindowSize = 0x10;
 
   /// `vliw_cycles_per_soc_cycle` is the generation rate: how many VLIW
-  /// clock cycles one generated SoC cycle takes (>= 1).
-  SyncDevice(SocBus* bus, unsigned vliw_cycles_per_soc_cycle)
-      : bus_(bus), rate_(vliw_cycles_per_soc_cycle) {
+  /// clock cycles one generated SoC cycle takes (>= 1). `vliw_cycle` is
+  /// the VLIW machine's wall-cycle counter.
+  SyncDevice(SocBus* bus, unsigned vliw_cycles_per_soc_cycle,
+             const uint64_t* vliw_cycle)
+      : bus_(bus), rate_(vliw_cycles_per_soc_cycle), now_(vliw_cycle) {
     CABT_CHECK(bus_ != nullptr, "sync device needs a bus");
     CABT_CHECK(rate_ >= 1, "generation rate must be >= 1");
   }
@@ -39,48 +42,58 @@ class SyncDevice {
   /// Starts generation of `n` further cycles (accumulates; the translated
   /// code's wait instruction is what enforces block-level synchrony).
   void start(uint32_t n) {
-    remaining_ += n;
+    request(n);
     ++num_starts_;
   }
 
   /// Adds dynamically computed correction cycles.
   void correct(uint32_t n) {
-    remaining_ += n;
+    request(n);
     correction_total_ += n;
     ++num_corrections_;
   }
 
-  [[nodiscard]] bool busy() const { return remaining_ > 0; }
+  [[nodiscard]] bool busy() const { return *now_ < end_; }
 
-  /// Advances the device by one VLIW clock cycle. Emits an SoC cycle every
-  /// `rate` VLIW cycles while generation is active. Returns true when an
-  /// SoC cycle was emitted in this tick.
-  bool tickVliwCycle() {
-    if (remaining_ == 0) {
-      return false;
-    }
-    if (++subcycle_ < rate_) {
-      return false;
-    }
-    subcycle_ = 0;
-    --remaining_;
-    ++total_generated_;
-    bus_->clockCycle();
-    return true;
+  /// True when an SoC cycle is generated in the current VLIW cycle.
+  [[nodiscard]] bool edge() const {
+    return *now_ > run_start_ && *now_ <= end_ && (end_ - *now_) % rate_ == 0;
   }
 
-  [[nodiscard]] uint64_t totalGenerated() const { return total_generated_; }
-  [[nodiscard]] uint64_t remaining() const { return remaining_; }
+  [[nodiscard]] uint64_t remaining() const {
+    return busy() ? (end_ - *now_ + rate_ - 1) / rate_ : 0;
+  }
+
+  [[nodiscard]] uint64_t totalGenerated() const {
+    return requested_ - remaining();
+  }
+
+  /// Clocks the SoC bus up to the cycles generated so far.
+  void advanceBus() { bus_->advanceTo(totalGenerated()); }
+
   [[nodiscard]] uint64_t numStarts() const { return num_starts_; }
   [[nodiscard]] uint64_t numCorrections() const { return num_corrections_; }
   [[nodiscard]] uint64_t correctionTotal() const { return correction_total_; }
 
  private:
+  void request(uint32_t n) {
+    // A request in or before the cycle of the last emission extends the
+    // current run at its cadence; a later one starts a new run now.
+    if (*now_ > end_) {
+      run_start_ = end_ = *now_;
+    }
+    end_ += uint64_t{n} * rate_;
+    requested_ += n;
+  }
+
   SocBus* bus_;
   unsigned rate_;
-  unsigned subcycle_ = 0;
-  uint64_t remaining_ = 0;
-  uint64_t total_generated_ = 0;
+  const uint64_t* now_;
+  // SoC cycle j of a run started at VLIW cycle run_start_ is generated at
+  // run_start_ + j * rate_; end_ is the cycle of its last requested one.
+  uint64_t run_start_ = 0;
+  uint64_t end_ = 0;
+  uint64_t requested_ = 0;
   uint64_t num_starts_ = 0;
   uint64_t num_corrections_ = 0;
   uint64_t correction_total_ = 0;

@@ -7,17 +7,18 @@
 
 namespace cabt::vliw {
 
+/// Bound on the address range the code may span: the pc->packet index
+/// holds one entry per word of it.
+constexpr uint32_t kMaxCodeSpan = 16u << 20;
+
 V6xSim::V6xSim() = default;
 
 void V6xSim::loadProgram(const elf::Object& image) {
   CABT_CHECK(image.machine == elf::Machine::kV6x,
              "not a V6X image (wrong e_machine)");
   packets_.clear();
-  packet_at_.clear();
-  bool any_code = false;
   for (const elf::Section& s : image.sections) {
     if (s.executable && s.kind == elf::SectionKind::kProgbits) {
-      any_code = true;
       for (Packet& p : decodeProgram(s.data, s.addr)) {
         packets_.push_back(std::move(p));
       }
@@ -25,9 +26,18 @@ void V6xSim::loadProgram(const elf::Object& image) {
       mem_.writeBlock(s.addr, s.data.data(), s.data.size());
     }
   }
-  CABT_CHECK(any_code, "V6X image has no executable section");
-  for (size_t i = 0; i < packets_.size(); ++i) {
-    packet_at_.emplace(packets_[i].addr, i);
+  CABT_CHECK(!packets_.empty(), "V6X image has no code");
+  uint32_t lo = UINT32_MAX;
+  uint32_t hi = 0;
+  for (const Packet& p : packets_) {
+    lo = std::min(lo, p.addr);
+    hi = std::max(hi, p.addr);
+  }
+  CABT_CHECK(hi - lo < kMaxCodeSpan, "V6X code spans more than 16 MiB");
+  code_base_ = lo;
+  packet_at_.assign((hi - lo) / 4 + 1, 0);
+  for (size_t i = packets_.size(); i-- > 0;) {  // the first of duplicates wins
+    packet_at_[(packets_[i].addr - lo) / 4] = static_cast<uint32_t>(i + 1);
   }
   pc_ = image.entry;
   state_ = RunState::kRunning;
@@ -39,7 +49,7 @@ void V6xSim::addIoHandler(IoHandler* handler) {
 }
 
 void V6xSim::setPc(uint32_t pc) {
-  CABT_CHECK(packet_at_.count(pc) != 0,
+  CABT_CHECK(packetAt(pc) != nullptr,
              "PC " << hex32(pc) << " is not a packet start");
   pc_ = pc;
   // A debugger PC change abandons in-flight control state.
@@ -47,11 +57,17 @@ void V6xSim::setPc(uint32_t pc) {
   idle_cycles_ = 0;
 }
 
+const Packet* V6xSim::packetAt(uint32_t addr) const {
+  const uint32_t word = (addr - code_base_) / 4;
+  const uint32_t i = word < packet_at_.size() ? packet_at_[word] : 0;
+  return i != 0 && packets_[i - 1].addr == addr ? &packets_[i - 1] : nullptr;
+}
+
 const Packet& V6xSim::fetch(uint32_t addr) const {
-  const auto it = packet_at_.find(addr);
-  CABT_CHECK(it != packet_at_.end(),
+  const Packet* packet = packetAt(addr);
+  CABT_CHECK(packet != nullptr,
              "fetch from " << hex32(addr) << ": not a packet start");
-  return packets_[it->second];
+  return *packet;
 }
 
 IoHandler* V6xSim::handlerFor(uint32_t addr) const {
@@ -128,101 +144,84 @@ void V6xSim::issuePacket(const Packet& packet) {
   ++stats_.packets;
   stats_.ops += packet.ops.size();
 
-  // Gather all operand values first: every op in the packet reads the
-  // register state as of the start of this cycle.
-  struct Exec {
-    const MachineOp* op;
-    uint32_t s1, s2, dstv, ea;
-    bool run;
-  };
-  std::vector<Exec> execs;
-  execs.reserve(packet.ops.size());
+  // Every register write lands through scheduleWrite in a later issue
+  // slot, so reading regs_ in place sees the state as of the start of
+  // this cycle for every op in the packet.
   for (const MachineOp& op : packet.ops) {
-    Exec e{};
-    e.op = &op;
-    e.run = true;
     if (!op.pred.always()) {
       const uint32_t p = regs_[op.pred.regId()];
-      e.run = op.pred.z ? p == 0 : p != 0;
+      if (op.pred.z ? p != 0 : p == 0) {
+        continue;
+      }
     }
-    e.s1 = op.src1 != kNoReg ? regs_[op.src1] : 0;
-    e.s2 = op.src2 != kNoReg ? regs_[op.src2] : 0;
-    e.dstv = op.dst != kNoReg ? regs_[op.dst] : 0;
-    if (isMem(op.opc)) {
-      e.ea = e.s1 + static_cast<uint32_t>(op.imm);
-    }
-    execs.push_back(e);
-  }
-
-  for (const Exec& e : execs) {
-    const MachineOp& op = *e.op;
-    if (!e.run) {
-      continue;
-    }
+    const uint32_t s1 = op.src1 != kNoReg ? regs_[op.src1] : 0;
+    const uint32_t s2 = op.src2 != kNoReg ? regs_[op.src2] : 0;
+    const uint32_t dstv = op.dst != kNoReg ? regs_[op.dst] : 0;
+    const uint32_t ea = s1 + static_cast<uint32_t>(op.imm);
     const auto aluResult = [&](uint32_t v) {
       scheduleWrite(op.dst, v, 0);
     };
     switch (op.opc) {
       case VOpc::kAdd:
-        aluResult(e.s1 + e.s2);
+        aluResult(s1 + s2);
         break;
       case VOpc::kSub:
-        aluResult(e.s1 - e.s2);
+        aluResult(s1 - s2);
         break;
       case VOpc::kAnd:
-        aluResult(e.s1 & e.s2);
+        aluResult(s1 & s2);
         break;
       case VOpc::kOr:
-        aluResult(e.s1 | e.s2);
+        aluResult(s1 | s2);
         break;
       case VOpc::kXor:
-        aluResult(e.s1 ^ e.s2);
+        aluResult(s1 ^ s2);
         break;
       case VOpc::kCmpEq:
-        aluResult(e.s1 == e.s2 ? 1 : 0);
+        aluResult(s1 == s2 ? 1 : 0);
         break;
       case VOpc::kCmpNe:
-        aluResult(e.s1 != e.s2 ? 1 : 0);
+        aluResult(s1 != s2 ? 1 : 0);
         break;
       case VOpc::kCmpLt:
-        aluResult(static_cast<int32_t>(e.s1) < static_cast<int32_t>(e.s2)
+        aluResult(static_cast<int32_t>(s1) < static_cast<int32_t>(s2)
                       ? 1
                       : 0);
         break;
       case VOpc::kCmpLtu:
-        aluResult(e.s1 < e.s2 ? 1 : 0);
+        aluResult(s1 < s2 ? 1 : 0);
         break;
       case VOpc::kCmpGt:
-        aluResult(static_cast<int32_t>(e.s1) > static_cast<int32_t>(e.s2)
+        aluResult(static_cast<int32_t>(s1) > static_cast<int32_t>(s2)
                       ? 1
                       : 0);
         break;
       case VOpc::kCmpGtu:
-        aluResult(e.s1 > e.s2 ? 1 : 0);
+        aluResult(s1 > s2 ? 1 : 0);
         break;
       case VOpc::kCmpGe:
-        aluResult(static_cast<int32_t>(e.s1) >= static_cast<int32_t>(e.s2)
+        aluResult(static_cast<int32_t>(s1) >= static_cast<int32_t>(s2)
                       ? 1
                       : 0);
         break;
       case VOpc::kCmpGeu:
-        aluResult(e.s1 >= e.s2 ? 1 : 0);
+        aluResult(s1 >= s2 ? 1 : 0);
         break;
       case VOpc::kMv:
-        aluResult(e.s1);
+        aluResult(s1);
         break;
       case VOpc::kShl:
-        aluResult(e.s1 << (e.s2 & 31));
+        aluResult(s1 << (s2 & 31));
         break;
       case VOpc::kShr:
-        aluResult(e.s1 >> (e.s2 & 31));
+        aluResult(s1 >> (s2 & 31));
         break;
       case VOpc::kSar:
-        aluResult(static_cast<uint32_t>(static_cast<int32_t>(e.s1) >>
-                                        (e.s2 & 31)));
+        aluResult(static_cast<uint32_t>(static_cast<int32_t>(s1) >>
+                                        (s2 & 31)));
         break;
       case VOpc::kMpy:
-        scheduleWrite(op.dst, e.s1 * e.s2, 1);
+        scheduleWrite(op.dst, s1 * s2, 1);
         break;
       case VOpc::kLdw:
       case VOpc::kLdh:
@@ -230,8 +229,8 @@ void V6xSim::issuePacket(const Packet& packet) {
       case VOpc::kLdb:
       case VOpc::kLdbu: {
         const unsigned size = memAccessSize(op.opc);
-        IoHandler* h = handlerFor(e.ea);
-        uint32_t v = h != nullptr ? h->load(e.ea, size) : mem_.read(e.ea, size);
+        IoHandler* h = handlerFor(ea);
+        uint32_t v = h != nullptr ? h->load(ea, size) : mem_.read(ea, size);
         if ((op.opc == VOpc::kLdh || op.opc == VOpc::kLdb) && size < 4) {
           v = static_cast<uint32_t>(signExtend(v, size * 8));
         }
@@ -242,11 +241,11 @@ void V6xSim::issuePacket(const Packet& packet) {
       case VOpc::kSth:
       case VOpc::kStb: {
         const unsigned size = memAccessSize(op.opc);
-        IoHandler* h = handlerFor(e.ea);
+        IoHandler* h = handlerFor(ea);
         if (h != nullptr) {
-          h->store(e.ea, e.dstv, size);
+          h->store(ea, dstv, size);
         } else {
-          mem_.write(e.ea, e.dstv, size);
+          mem_.write(ea, dstv, size);
         }
         break;
       }
@@ -256,7 +255,7 @@ void V6xSim::issuePacket(const Packet& packet) {
                    "branch issued while another branch is in flight");
         branch_pending_ = true;
         branch_target_ =
-            op.opc == VOpc::kB ? static_cast<uint32_t>(op.imm) : e.s1;
+            op.opc == VOpc::kB ? static_cast<uint32_t>(op.imm) : s1;
         branch_remaining_ = delaySlots(op.opc);
         ++stats_.branches_taken;
         break;
@@ -265,12 +264,12 @@ void V6xSim::issuePacket(const Packet& packet) {
         scheduleWrite(op.dst, static_cast<uint32_t>(op.imm), 0);
         break;
       case VOpc::kMvkh:
-        scheduleWrite(op.dst, (e.dstv & 0xffffu) |
+        scheduleWrite(op.dst, (dstv & 0xffffu) |
                                   (static_cast<uint32_t>(op.imm) << 16),
                       0);
         break;
       case VOpc::kAddk:
-        scheduleWrite(op.dst, e.dstv + static_cast<uint32_t>(op.imm), 0);
+        scheduleWrite(op.dst, dstv + static_cast<uint32_t>(op.imm), 0);
         break;
       case VOpc::kNop:
         CABT_ASSERT(op.imm >= 1, "NOP with zero count");
@@ -317,9 +316,6 @@ RunState V6xSim::run(uint64_t max_cycles) {
     if (budget-- == 0) {
       return RunState::kMaxCycles;
     }
-    if (hook_) {
-      hook_();
-    }
     ++stats_.cycles;
 
     if (idle_cycles_ > 0) {
@@ -346,7 +342,7 @@ RunState V6xSim::run(uint64_t max_cycles) {
     const Packet& packet = fetch(pc_);
     if (!devicesReady(packet)) {
       ++stats_.stall_cycles;
-      continue;  // whole-machine stall; devices keep ticking via the hook
+      continue;  // whole-machine stall
     }
     issuePacket(packet);
     postIssueSlot();

@@ -10,9 +10,8 @@
 // cycle (this is how "wait for end of cycle generation" behaves).
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <set>
 #include <vector>
 
@@ -63,10 +62,6 @@ class V6xSim {
   /// Registers a memory-mapped hardware window (not owned).
   void addIoHandler(IoHandler* handler);
 
-  /// Called once per wall cycle, before anything else — the platform uses
-  /// this to clock the synchronization device.
-  void setCycleHook(std::function<void()> hook) { hook_ = std::move(hook); }
-
   /// Runs until HALT / YIELD / breakpoint / cycle limit.
   RunState run(uint64_t max_cycles = UINT64_MAX);
 
@@ -94,6 +89,8 @@ class V6xSim {
     uint32_t value = 0;
   };
 
+  /// Packet starting at `addr`, or null.
+  [[nodiscard]] const Packet* packetAt(uint32_t addr) const;
   [[nodiscard]] const Packet& fetch(uint32_t addr) const;
   [[nodiscard]] IoHandler* handlerFor(uint32_t addr) const;
   /// True when every device access in the packet can complete this cycle.
@@ -105,9 +102,10 @@ class V6xSim {
   void postIssueSlot();
 
   std::vector<Packet> packets_;
-  std::map<uint32_t, size_t> packet_at_;
+  /// Per code word from code_base_: index into packets_ + 1, 0 = none.
+  std::vector<uint32_t> packet_at_;
+  uint32_t code_base_ = 0;
   std::vector<IoHandler*> handlers_;
-  std::function<void()> hook_;
   SparseMemory mem_;
 
   std::array<uint32_t, 64> regs_{};

@@ -2,6 +2,8 @@
 // pipeline timing model.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "arch/arch.h"
 #include "arch/timing.h"
 #include "common/error.h"
@@ -73,6 +75,17 @@ TEST(ICacheGeometry, ValidationRejectsBadGeometry) {
   m.sets = 64;
   m.line_bytes = 12;
   EXPECT_THROW(m.validate(), Error);
+}
+
+TEST(ICacheGeometry, RejectsMoreWaysThanTheLruWordHolds) {
+  // The LRU state packs 8-bit ages into one 32-bit word: 4 ways at most.
+  const auto xml = [](int ways) {
+    return "<processor><icache enabled='1' sets='16' ways='" +
+           std::to_string(ways) + "' line_bytes='16'/></processor>";
+  };
+  EXPECT_EQ(parseArchXml(xml(4)).icache.ways, 4u);
+  EXPECT_THROW(parseArchXml(xml(5)), Error);
+  EXPECT_THROW(parseArchXml(xml(8)), Error);
 }
 
 // ---- PipelineTimer ------------------------------------------------------

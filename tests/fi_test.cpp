@@ -292,6 +292,20 @@ TEST(CoreInjector, ValidatesSchedulesAndConsumesInOrder) {
   EXPECT_FALSE(inj.due(~0ull - 1));
 }
 
+TEST(CampaignArm, RejectsRegisterIndicesPastD15) {
+  // The spec's index is range-checked before it narrows to the injector's
+  // byte: 256 must not wrap to d0.
+  const GridBoard grid = makeBoard(std::vector<std::string>{"mc_worker"});
+  for (const char* spec : {"dreg@200:index=16,mask=1",
+                           "dreg@200:index=256,mask=1",
+                           "areg@200:index=272,mask=1"}) {
+    auto board = buildBoard(grid, RunConfig{});
+    fi::Campaign camp;
+    camp.add(fi::parseFaultSpec(spec));
+    EXPECT_THROW(camp.arm(*board), Error) << spec;
+  }
+}
+
 // ---- device-level units -----------------------------------------------
 
 TEST(WatchdogUnit, FiresOnceWhenNotPetted) {

@@ -294,7 +294,7 @@ TEST(TranslatedPathGolden, RunSlicingDoesNotChangeTheRow) {
   }
 }
 
-// A polling driver drives the bus bridge while generation is active, so
+// A timer-polling program uses the bus bridge while generation is active, so
 // its accesses wait for generated SoC edges. The bus log (SoC cycle and
 // value per access) and the VLIW-side cycles are pinned per level and
 // generation rate.

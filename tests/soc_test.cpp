@@ -1,6 +1,9 @@
 // SoC bus, peripheral and synchronization-device tests.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+
 #include "common/error.h"
 #include "soc/bus.h"
 #include "soc/peripherals.h"
@@ -121,39 +124,46 @@ TEST(SyncDevice, GeneratesExactlyRequestedCycles) {
   SocBus bus;
   TimerDevice timer;
   bus.attach(&timer, 0x0, 0x10);
-  SyncDevice sync(&bus, /*rate=*/1);
+  uint64_t cycle = 0;
+  SyncDevice sync(&bus, /*rate=*/1, &cycle);
   sync.start(5);
   EXPECT_TRUE(sync.busy());
   unsigned emitted = 0;
   for (int i = 0; i < 10; ++i) {
-    emitted += sync.tickVliwCycle() ? 1 : 0;
+    ++cycle;
+    emitted += sync.edge() ? 1 : 0;
   }
   EXPECT_EQ(emitted, 5u);
   EXPECT_FALSE(sync.busy());
   EXPECT_EQ(sync.totalGenerated(), 5u);
+  EXPECT_EQ(timer.count(), 0u);  // nothing observed the SoC side yet
+  sync.advanceBus();
   EXPECT_EQ(timer.count(), 5u);  // the attached hardware saw every cycle
 }
 
 TEST(SyncDevice, RateDividesVliwClock) {
   SocBus bus;
-  SyncDevice sync(&bus, /*rate=*/4);
+  uint64_t cycle = 0;
+  SyncDevice sync(&bus, /*rate=*/4, &cycle);
   sync.start(2);
-  unsigned ticks = 0;
+  EXPECT_EQ(sync.remaining(), 2u);
   while (sync.busy()) {
-    sync.tickVliwCycle();
-    ++ticks;
+    ++cycle;
   }
-  EXPECT_EQ(ticks, 8u);  // 2 SoC cycles at 4 VLIW cycles each
+  EXPECT_EQ(cycle, 8u);  // 2 SoC cycles at 4 VLIW cycles each
+  EXPECT_EQ(sync.remaining(), 0u);
 }
 
 TEST(SyncDevice, CorrectionAccumulates) {
   SocBus bus;
-  SyncDevice sync(&bus, 1);
+  uint64_t cycle = 0;
+  SyncDevice sync(&bus, 1, &cycle);
   sync.start(3);
   sync.correct(2);
   unsigned emitted = 0;
   while (sync.busy()) {
-    emitted += sync.tickVliwCycle() ? 1 : 0;
+    ++cycle;
+    emitted += sync.edge() ? 1 : 0;
   }
   EXPECT_EQ(emitted, 5u);
   EXPECT_EQ(sync.correctionTotal(), 2u);
@@ -161,14 +171,109 @@ TEST(SyncDevice, CorrectionAccumulates) {
   EXPECT_EQ(sync.numCorrections(), 1u);
 }
 
-TEST(SyncDevice, IdleTicksEmitNothing) {
+TEST(SyncDevice, IdleCyclesEmitNothing) {
   SocBus bus;
-  SyncDevice sync(&bus, 1);
+  uint64_t cycle = 0;
+  SyncDevice sync(&bus, 1, &cycle);
   for (int i = 0; i < 100; ++i) {
-    EXPECT_FALSE(sync.tickVliwCycle());
+    ++cycle;
+    EXPECT_FALSE(sync.edge());
   }
+  sync.advanceBus();
   EXPECT_EQ(sync.totalGenerated(), 0u);
   EXPECT_EQ(bus.socCycle(), 0u);
+}
+
+/// The per-cycle model the lazy SyncDevice replaced, kept as its
+/// reference: tick() once per VLIW cycle emits one SoC cycle every
+/// `rate` ticks while requested cycles are pending.
+class TickedSyncDevice {
+ public:
+  TickedSyncDevice(SocBus* bus, unsigned rate) : bus_(bus), rate_(rate) {}
+
+  void request(uint32_t n) { remaining_ += n; }
+  [[nodiscard]] bool busy() const { return remaining_ > 0; }
+  [[nodiscard]] uint64_t remaining() const { return remaining_; }
+  [[nodiscard]] uint64_t totalGenerated() const { return total_generated_; }
+
+  /// One VLIW cycle; true when it emitted an SoC cycle.
+  bool tick() {
+    if (remaining_ == 0) {
+      return false;
+    }
+    if (++subcycle_ < rate_) {
+      return false;
+    }
+    subcycle_ = 0;
+    --remaining_;
+    ++total_generated_;
+    bus_->clockCycle();
+    return true;
+  }
+
+ private:
+  SocBus* bus_;
+  unsigned rate_;
+  unsigned subcycle_ = 0;
+  uint64_t remaining_ = 0;
+  uint64_t total_generated_ = 0;
+};
+
+TEST(SyncDevice, MatchesTheTickedModelEveryCycle) {
+  uint64_t starts_while_busy = 0;
+  uint64_t starts_at_run_end = 0;
+  for (uint32_t seed = 1; seed <= 48; ++seed) {
+    const unsigned rate = 1 + seed % 8;
+    std::mt19937 rng(seed);
+    SocBus ref_bus;
+    TimerDevice ref_timer;
+    ref_bus.attach(&ref_timer, 0x0, 0x10);
+    TickedSyncDevice ref(&ref_bus, rate);
+    SocBus bus;
+    TimerDevice timer;
+    bus.attach(&timer, 0x0, 0x10);
+    uint64_t cycle = 0;
+    SyncDevice sync(&bus, rate, &cycle);
+
+    for (int i = 0; i < 3000; ++i) {
+      ++cycle;
+      const bool ref_edge = ref.tick();
+      sync.advanceBus();
+      const auto where = [&] {
+        return "seed " + std::to_string(seed) + " cycle " +
+               std::to_string(cycle);
+      };
+      ASSERT_EQ(sync.edge(), ref_edge) << where();
+      ASSERT_EQ(sync.busy(), ref.busy()) << where();
+      ASSERT_EQ(sync.remaining(), ref.remaining()) << where();
+      ASSERT_EQ(sync.totalGenerated(), ref.totalGenerated()) << where();
+      ASSERT_EQ(bus.socCycle(), ref_bus.socCycle()) << where();
+      ASSERT_EQ(timer.count(), ref_timer.count()) << where();
+
+      // Requests land after the cycle's edge, as a packet's stores do.
+      // Bias toward the cycle a run ends in, the boundary between
+      // extending a run and starting a new one.
+      const bool run_ends_now = ref_edge && !ref.busy();
+      const unsigned roll = rng() % 16;
+      if (roll < 2 || (run_ends_now && roll < 8)) {
+        starts_while_busy += ref.busy() ? 1 : 0;
+        starts_at_run_end += run_ends_now ? 1 : 0;
+        const auto n = static_cast<uint32_t>(rng() % 12);
+        ref.request(n);
+        sync.start(n);
+      }
+      if (rng() % 16 == 0) {
+        const auto n = static_cast<uint32_t>(rng() % 4);
+        ref.request(n);
+        sync.correct(n);
+      }
+      // A request never changes what the current cycle generated.
+      ASSERT_EQ(sync.edge(), ref_edge) << where();
+      ASSERT_EQ(sync.totalGenerated(), ref.totalGenerated()) << where();
+    }
+  }
+  EXPECT_GT(starts_while_busy, 100u);
+  EXPECT_GT(starts_at_run_end, 100u);
 }
 
 TEST(StandardBoard, AttachesPeripheralsAtStandardOffsets) {

@@ -345,6 +345,31 @@ TEST(V6xSimTest, OneCyclePerPacket) {
   EXPECT_EQ(sim.stats().ops, 5u);
 }
 
+TEST(V6xSimTest, CodeSectionsIndexAcrossTheirWholeSpan) {
+  // The pc->packet index spans every code section: sections 2 MiB apart
+  // (the debugger's two images) are both fetchable; code spread over
+  // more than 16 MiB is rejected at load.
+  const auto twoSections = [](uint32_t second) {
+    elf::Object obj = makeImage({{0, {halt()}}});
+    elf::Section text = obj.sections[0];
+    text.name = ".text.far";
+    text.addr = second;
+    std::vector<Packet> packets{{0, {mvk(regA(1), 7)}}, {0, {halt()}}};
+    text.data = encodeProgram(packets, second);
+    obj.sections.push_back(std::move(text));
+    return obj;
+  };
+  V6xSim sim;
+  sim.loadProgram(twoSections(0x300000));
+  sim.setPc(0x300000);
+  EXPECT_EQ(sim.run(100), RunState::kHalted);
+  EXPECT_EQ(sim.reg(regA(1)), 7u);
+  EXPECT_THROW(sim.setPc(0x300002), Error);
+  EXPECT_THROW(sim.setPc(0x200000), Error);
+  V6xSim far;
+  EXPECT_THROW(far.loadProgram(twoSections(0x100000 + (16u << 20))), Error);
+}
+
 TEST(V6xSimTest, DoubleWriteSameCycleTrapped) {
   // Two loads issued 0 and 1 cycles apart to the same dst commit in
   // different cycles - fine. An ALU op and an MPY writing the same reg
@@ -422,24 +447,6 @@ TEST(V6xSimTest, DeviceStallFreezesMachine) {
   EXPECT_EQ(sim.stats().stall_cycles, 3u);
   // mvk + mvkh + (3 stalls + ld) + nop5 + halt = 2 + 4 + 5 + 1 = 12.
   EXPECT_EQ(sim.stats().cycles, 12u);
-}
-
-TEST(V6xSimTest, CycleHookRunsEveryCycleIncludingStalls) {
-  StallingHandler handler(0xfe000000, 2);
-  std::vector<Packet> packets{
-      {0, {mvk(regA(8), 0)}},
-      {0, {op(VOpc::kMvkh, S1, regA(8), kNoReg, kNoReg, 0xfe00)}},
-      {0, {op(VOpc::kStw, D1, regA(8), regA(8), kNoReg, 0)}},
-      {0, {halt()}},
-  };
-  V6xSim sim;
-  sim.loadProgram(makeImage(std::move(packets)));
-  sim.addIoHandler(&handler);
-  uint64_t hook_calls = 0;
-  sim.setCycleHook([&hook_calls] { ++hook_calls; });
-  EXPECT_EQ(sim.run(1000), RunState::kHalted);
-  EXPECT_EQ(hook_calls, sim.stats().cycles);
-  EXPECT_EQ(sim.stats().stall_cycles, 2u);
 }
 
 TEST(V6xSimTest, YieldStopsAndResumes) {
