@@ -28,14 +28,33 @@ class SparseMemory {
     page(addr)[addr & (kPageSize - 1)] = v;
   }
 
+  /// Little-endian access of 1..4 bytes. One page lookup when the access
+  /// stays in one page; a straddling one goes byte by byte (and wraps at
+  /// the top of the address space).
   [[nodiscard]] uint32_t read(uint32_t addr, unsigned size) const {
     uint32_t v = 0;
+    const uint32_t off = addr & (kPageSize - 1);
+    if (off + size <= kPageSize) {
+      const Page* p = findPage(addr);
+      for (unsigned i = 0; p != nullptr && i < size; ++i) {
+        v |= static_cast<uint32_t>((*p)[off + i]) << (8 * i);
+      }
+      return v;
+    }
     for (unsigned i = 0; i < size; ++i) {
       v |= static_cast<uint32_t>(read8(addr + i)) << (8 * i);
     }
     return v;
   }
   void write(uint32_t addr, uint32_t v, unsigned size) {
+    const uint32_t off = addr & (kPageSize - 1);
+    if (off + size <= kPageSize) {
+      Page& p = page(addr);
+      for (unsigned i = 0; i < size; ++i) {
+        p[off + i] = static_cast<uint8_t>(v >> (8 * i));
+      }
+      return;
+    }
     for (unsigned i = 0; i < size; ++i) {
       write8(addr + i, static_cast<uint8_t>(v >> (8 * i)));
     }

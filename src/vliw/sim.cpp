@@ -1,6 +1,7 @@
 #include "vliw/sim.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/bits.h"
 #include "common/strutil.h"
@@ -29,9 +30,26 @@ void V6xSim::loadProgram(const elf::Object& image) {
   CABT_CHECK(!packets_.empty(), "V6X image has no code");
   uint32_t lo = UINT32_MAX;
   uint32_t hi = 0;
+  decoded_.clear();
+  ops_.clear();
   for (const Packet& p : packets_) {
     lo = std::min(lo, p.addr);
     hi = std::max(hi, p.addr);
+    DecodedPacket& d = decoded_.emplace_back(
+        DecodedPacket{p.addr, static_cast<uint32_t>(ops_.size()),
+                      static_cast<uint32_t>(p.ops.size()), false});
+    for (const MachineOp& m : p.ops) {
+      CABT_CHECK(m.opc != VOpc::kNop || m.imm >= 1, "NOP with zero count");
+      const auto slot = [](uint8_t r) { return r == kNoReg ? kZeroReg : r; };
+      const bool always = m.pred.always();
+      const Op& op = ops_.emplace_back(Op{
+          m.opc, slot(m.dst), slot(m.src1), slot(m.src2),
+          always ? kZeroReg : m.pred.regId(), always || m.pred.z,
+          static_cast<uint8_t>(isMem(m.opc) ? memAccessSize(m.opc) : 0),
+          m.opc == VOpc::kLdh || m.opc == VOpc::kLdb,
+          static_cast<uint8_t>(delaySlots(m.opc)), m.imm});
+      d.has_mem = d.has_mem || op.mem_size != 0;
+    }
   }
   CABT_CHECK(hi - lo < kMaxCodeSpan, "V6X code spans more than 16 MiB");
   code_base_ = lo;
@@ -48,8 +66,13 @@ void V6xSim::addIoHandler(IoHandler* handler) {
   handlers_.push_back(handler);
 }
 
+uint8_t V6xSim::checked(uint8_t r) {
+  CABT_CHECK(r < kZeroReg, "no V6X register " << int{r});
+  return r;
+}
+
 void V6xSim::setPc(uint32_t pc) {
-  CABT_CHECK(packetAt(pc) != nullptr,
+  CABT_CHECK(packetSlot(pc) != 0,
              "PC " << hex32(pc) << " is not a packet start");
   pc_ = pc;
   // A debugger PC change abandons in-flight control state.
@@ -57,17 +80,16 @@ void V6xSim::setPc(uint32_t pc) {
   idle_cycles_ = 0;
 }
 
-const Packet* V6xSim::packetAt(uint32_t addr) const {
+uint32_t V6xSim::packetSlot(uint32_t addr) const {
   const uint32_t word = (addr - code_base_) / 4;
   const uint32_t i = word < packet_at_.size() ? packet_at_[word] : 0;
-  return i != 0 && packets_[i - 1].addr == addr ? &packets_[i - 1] : nullptr;
+  return i != 0 && decoded_[i - 1].addr == addr ? i : 0;
 }
 
-const Packet& V6xSim::fetch(uint32_t addr) const {
-  const Packet* packet = packetAt(addr);
-  CABT_CHECK(packet != nullptr,
-             "fetch from " << hex32(addr) << ": not a packet start");
-  return *packet;
+const V6xSim::DecodedPacket& V6xSim::fetch(uint32_t addr) const {
+  const uint32_t i = packetSlot(addr);
+  CABT_CHECK(i != 0, "fetch from " << hex32(addr) << ": not a packet start");
+  return decoded_[i - 1];
 }
 
 IoHandler* V6xSim::handlerFor(uint32_t addr) const {
@@ -79,17 +101,11 @@ IoHandler* V6xSim::handlerFor(uint32_t addr) const {
   return nullptr;
 }
 
-bool V6xSim::devicesReady(const Packet& packet) {
-  for (const MachineOp& op : packet.ops) {
-    if (!isMem(op.opc)) {
+bool V6xSim::devicesReady(const DecodedPacket& packet) {
+  for (uint32_t i = packet.first; i < packet.first + packet.count; ++i) {
+    const Op& op = ops_[i];
+    if (op.mem_size == 0 || (regs_[op.pred] == 0) != op.pred_z) {
       continue;
-    }
-    if (!op.pred.always()) {
-      const uint32_t p = regs_[op.pred.regId()];
-      const bool execute = op.pred.z ? p == 0 : p != 0;
-      if (!execute) {
-        continue;
-      }
     }
     const uint32_t addr = regs_[op.src1] + static_cast<uint32_t>(op.imm);
     IoHandler* h = handlerFor(addr);
@@ -100,63 +116,51 @@ bool V6xSim::devicesReady(const Packet& packet) {
   return true;
 }
 
-void V6xSim::commitDueWrites() {
-  for (size_t i = 0; i < pending_.size();) {
-    if (pending_[i].due <= stats_.issue_cycles) {
-      regs_[pending_[i].reg] = pending_[i].value;
-      pending_[i] = pending_.back();
-      pending_.pop_back();
-    } else {
-      ++i;
-    }
+void V6xSim::commitSlot(uint64_t slot) {
+  WriteSlot& s = ring_[slot % kRingSlots];
+  for (uint64_t m = s.mask; m != 0; m &= m - 1) {
+    const int r = std::countr_zero(m);
+    regs_[r] = s.value[r];
   }
+  s.mask = 0;
 }
 
 void V6xSim::drainPipeline() {
   // Architecturally-due writes commit lazily; flush them so a stopped
   // machine presents a consistent register state. At halt everything in
-  // flight lands as well.
-  commitDueWrites();
-  if (state_ == RunState::kHalted) {
-    std::sort(pending_.begin(), pending_.end(),
-              [](const PendingWrite& a, const PendingWrite& b) {
-                return a.due < b.due;
-              });
-    for (const PendingWrite& w : pending_) {
-      regs_[w.reg] = w.value;
-    }
-    pending_.clear();
+  // flight lands as well, in due order.
+  const unsigned slots = state_ == RunState::kHalted ? kRingSlots : 1;
+  for (unsigned i = 0; i < slots; ++i) {
+    commitSlot(stats_.issue_cycles + i);
   }
 }
 
 void V6xSim::scheduleWrite(uint8_t reg, uint32_t value,
                            unsigned extra_slots) {
-  const uint64_t due = stats_.issue_cycles + 1 + extra_slots;
-  for (const PendingWrite& w : pending_) {
-    CABT_CHECK(!(w.reg == reg && w.due == due),
-               "two in-flight writes to " << regName(reg)
-                                          << " commit in the same cycle");
-  }
-  pending_.push_back({due, reg, value});
+  WriteSlot& s = ring_[(stats_.issue_cycles + 1 + extra_slots) % kRingSlots];
+  const uint64_t bit = uint64_t{1} << reg;
+  CABT_CHECK((s.mask & bit) == 0, "two in-flight writes to "
+                                      << regName(reg)
+                                      << " commit in the same cycle");
+  s.mask |= bit;
+  s.value[reg] = value;
 }
 
-void V6xSim::issuePacket(const Packet& packet) {
+void V6xSim::issuePacket(const DecodedPacket& packet) {
   ++stats_.packets;
-  stats_.ops += packet.ops.size();
+  stats_.ops += packet.count;
 
   // Every register write lands through scheduleWrite in a later issue
   // slot, so reading regs_ in place sees the state as of the start of
   // this cycle for every op in the packet.
-  for (const MachineOp& op : packet.ops) {
-    if (!op.pred.always()) {
-      const uint32_t p = regs_[op.pred.regId()];
-      if (op.pred.z ? p != 0 : p == 0) {
-        continue;
-      }
+  for (uint32_t i = packet.first; i < packet.first + packet.count; ++i) {
+    const Op& op = ops_[i];
+    if ((regs_[op.pred] == 0) != op.pred_z) {
+      continue;
     }
-    const uint32_t s1 = op.src1 != kNoReg ? regs_[op.src1] : 0;
-    const uint32_t s2 = op.src2 != kNoReg ? regs_[op.src2] : 0;
-    const uint32_t dstv = op.dst != kNoReg ? regs_[op.dst] : 0;
+    const uint32_t s1 = regs_[op.src1];
+    const uint32_t s2 = regs_[op.src2];
+    const uint32_t dstv = regs_[op.dst];
     const uint32_t ea = s1 + static_cast<uint32_t>(op.imm);
     const auto aluResult = [&](uint32_t v) {
       scheduleWrite(op.dst, v, 0);
@@ -221,31 +225,30 @@ void V6xSim::issuePacket(const Packet& packet) {
                                         (s2 & 31)));
         break;
       case VOpc::kMpy:
-        scheduleWrite(op.dst, s1 * s2, 1);
+        scheduleWrite(op.dst, s1 * s2, op.delay);
         break;
       case VOpc::kLdw:
       case VOpc::kLdh:
       case VOpc::kLdhu:
       case VOpc::kLdb:
       case VOpc::kLdbu: {
-        const unsigned size = memAccessSize(op.opc);
         IoHandler* h = handlerFor(ea);
-        uint32_t v = h != nullptr ? h->load(ea, size) : mem_.read(ea, size);
-        if ((op.opc == VOpc::kLdh || op.opc == VOpc::kLdb) && size < 4) {
-          v = static_cast<uint32_t>(signExtend(v, size * 8));
+        uint32_t v = h != nullptr ? h->load(ea, op.mem_size)
+                                  : mem_.read(ea, op.mem_size);
+        if (op.sign) {
+          v = static_cast<uint32_t>(signExtend(v, op.mem_size * 8u));
         }
-        scheduleWrite(op.dst, v, 4);
+        scheduleWrite(op.dst, v, op.delay);
         break;
       }
       case VOpc::kStw:
       case VOpc::kSth:
       case VOpc::kStb: {
-        const unsigned size = memAccessSize(op.opc);
         IoHandler* h = handlerFor(ea);
         if (h != nullptr) {
-          h->store(ea, dstv, size);
+          h->store(ea, dstv, op.mem_size);
         } else {
-          mem_.write(ea, dstv, size);
+          mem_.write(ea, dstv, op.mem_size);
         }
         break;
       }
@@ -256,7 +259,7 @@ void V6xSim::issuePacket(const Packet& packet) {
         branch_pending_ = true;
         branch_target_ =
             op.opc == VOpc::kB ? static_cast<uint32_t>(op.imm) : s1;
-        branch_remaining_ = delaySlots(op.opc);
+        branch_remaining_ = op.delay;
         ++stats_.branches_taken;
         break;
       }
@@ -272,7 +275,6 @@ void V6xSim::issuePacket(const Packet& packet) {
         scheduleWrite(op.dst, dstv + static_cast<uint32_t>(op.imm), 0);
         break;
       case VOpc::kNop:
-        CABT_ASSERT(op.imm >= 1, "NOP with zero count");
         idle_cycles_ = static_cast<unsigned>(op.imm) - 1;
         stats_.nop_cycles += static_cast<unsigned>(op.imm);
         break;
@@ -286,17 +288,17 @@ void V6xSim::issuePacket(const Packet& packet) {
         CABT_FAIL("unhandled V6X opcode");
     }
   }
-  pc_ = packet.addr + packet.sizeBytes();
+  pc_ = packet.addr + packet.count * 4;
 }
 
-void V6xSim::postIssueSlot() {
-  ++stats_.issue_cycles;
+void V6xSim::advanceIssueSlots(uint64_t n) {
+  stats_.issue_cycles += n;
   if (branch_pending_) {
-    if (branch_remaining_ == 0) {
+    if (branch_remaining_ < n) {
       pc_ = branch_target_;
       branch_pending_ = false;
     } else {
-      --branch_remaining_;
+      branch_remaining_ -= static_cast<unsigned>(n);
     }
   }
 }
@@ -313,24 +315,32 @@ RunState V6xSim::run(uint64_t max_cycles) {
   }
   uint64_t budget = max_cycles;
   while (state_ == RunState::kRunning) {
-    if (budget-- == 0) {
+    if (budget == 0) {
       return RunState::kMaxCycles;
     }
-    ++stats_.cycles;
-
     if (idle_cycles_ > 0) {
-      // Tail cycles of a multi-cycle NOP: issue slots without a packet.
-      --idle_cycles_;
-      commitDueWrites();
-      postIssueSlot();
+      // Tail cycles of a multi-cycle NOP: issue slots without a packet,
+      // as many as the budget allows in one step. Each passed slot
+      // commits its writes; slots past the ring's reach hold none.
+      const uint64_t n = std::min<uint64_t>(idle_cycles_, budget);
+      budget -= n;
+      stats_.cycles += n;
+      idle_cycles_ -= static_cast<unsigned>(n);
+      for (uint64_t i = 0; i < std::min<uint64_t>(n, kRingSlots); ++i) {
+        commitSlot(stats_.issue_cycles + i);
+      }
+      advanceIssueSlots(n);
       continue;
     }
+    --budget;
+    ++stats_.cycles;
 
     // Commit the writes due in this issue slot before anything reads the
     // register state (including the device-readiness pre-check).
-    commitDueWrites();
+    commitSlot(stats_.issue_cycles);
 
-    if (breakpoints_.count(pc_) != 0 && !step_over_breakpoint_) {
+    if (!breakpoints_.empty() && !step_over_breakpoint_ &&
+        breakpoints_.count(pc_) != 0) {
       // Stop *before* issuing the breakpointed packet; undo this cycle.
       --stats_.cycles;
       state_ = RunState::kBreakpoint;
@@ -339,13 +349,13 @@ RunState V6xSim::run(uint64_t max_cycles) {
     }
     step_over_breakpoint_ = false;
 
-    const Packet& packet = fetch(pc_);
-    if (!devicesReady(packet)) {
+    const DecodedPacket& packet = fetch(pc_);
+    if (packet.has_mem && !devicesReady(packet)) {
       ++stats_.stall_cycles;
       continue;  // whole-machine stall
     }
     issuePacket(packet);
-    postIssueSlot();
+    advanceIssueSlots(1);
   }
   drainPipeline();
   return state_;

@@ -21,16 +21,23 @@
 
 namespace cabt::vliw {
 
-/// Memory-mapped hardware hook. ready() may be polled once per stall
-/// cycle; load()/store() are called exactly once, in the cycle the access
-/// completes.
+/// Memory-mapped hardware hook for the window [base, base + size).
+/// ready() may be polled once per stall cycle; load()/store() are called
+/// exactly once, in the cycle the access completes.
 class IoHandler {
  public:
+  IoHandler(uint32_t base, uint32_t size) : base_(base), size_(size) {}
   virtual ~IoHandler() = default;
-  [[nodiscard]] virtual bool covers(uint32_t addr) const = 0;
+  [[nodiscard]] bool covers(uint32_t addr) const {
+    return addr - base_ < size_;
+  }
   virtual bool ready(uint32_t addr, bool is_write) = 0;
   virtual uint32_t load(uint32_t addr, unsigned size) = 0;
   virtual void store(uint32_t addr, uint32_t value, unsigned size) = 0;
+
+ private:
+  uint32_t base_;
+  uint32_t size_;
 };
 
 enum class RunState {
@@ -71,8 +78,8 @@ class V6xSim {
   void addBreakpoint(uint32_t addr) { breakpoints_.insert(addr); }
   void removeBreakpoint(uint32_t addr) { breakpoints_.erase(addr); }
 
-  [[nodiscard]] uint32_t reg(uint8_t r) const { return regs_.at(r); }
-  void setReg(uint8_t r, uint32_t v) { regs_.at(r) = v; }
+  [[nodiscard]] uint32_t reg(uint8_t r) const { return regs_[checked(r)]; }
+  void setReg(uint8_t r, uint32_t v) { regs_[checked(r)] = v; }
   [[nodiscard]] uint32_t pc() const { return pc_; }
   void setPc(uint32_t pc);
   [[nodiscard]] RunState state() const { return state_; }
@@ -83,36 +90,64 @@ class V6xSim {
   [[nodiscard]] const std::vector<Packet>& packets() const { return packets_; }
 
  private:
-  struct PendingWrite {
-    uint64_t due = 0;  ///< issue-slot index when the value commits
-    uint8_t reg = 0;
-    uint32_t value = 0;
+  /// A regs_ slot that always reads 0. Unused operands point at it, and an
+  /// unpredicated op is predicated on it being zero.
+  static constexpr uint8_t kZeroReg = 64;
+  /// An op with everything issue needs resolved at load (DESIGN.md 5.5).
+  struct Op {
+    VOpc opc;
+    uint8_t dst, src1, src2;  ///< kZeroReg when unused
+    uint8_t pred;             ///< executes when (regs_[pred] == 0) == pred_z
+    bool pred_z;
+    uint8_t mem_size;  ///< bytes; 0 = not a memory op
+    bool sign;         ///< sign-extending load
+    uint8_t delay;     ///< delay slots
+    int32_t imm;
   };
+  struct DecodedPacket {
+    uint32_t addr;
+    uint32_t first;  ///< index into ops_
+    uint32_t count;
+    bool has_mem;
+  };
+  /// Register writes committing in one issue slot: at most one per
+  /// register, so `mask` is also the double-write check.
+  struct WriteSlot {
+    uint64_t mask = 0;
+    std::array<uint32_t, 64> value{};
+  };
+  /// Longest write latency (load: 1 + 4 delay slots) plus the slot being
+  /// committed fits, so a slot is always empty when it is reused.
+  static constexpr unsigned kRingSlots = 8;
 
-  /// Packet starting at `addr`, or null.
-  [[nodiscard]] const Packet* packetAt(uint32_t addr) const;
-  [[nodiscard]] const Packet& fetch(uint32_t addr) const;
+  /// `r` if it names a register (A0..B31); throws cabt::Error otherwise.
+  static uint8_t checked(uint8_t r);
+  /// Index of the packet starting at `addr` plus one, or 0.
+  [[nodiscard]] uint32_t packetSlot(uint32_t addr) const;
+  [[nodiscard]] const DecodedPacket& fetch(uint32_t addr) const;
   [[nodiscard]] IoHandler* handlerFor(uint32_t addr) const;
   /// True when every device access in the packet can complete this cycle.
-  bool devicesReady(const Packet& packet);
-  void commitDueWrites();
+  bool devicesReady(const DecodedPacket& packet);
+  void commitSlot(uint64_t slot);
   void drainPipeline();
   void scheduleWrite(uint8_t reg, uint32_t value, unsigned extra_slots);
-  void issuePacket(const Packet& packet);
-  void postIssueSlot();
+  void issuePacket(const DecodedPacket& packet);
+  void advanceIssueSlots(uint64_t n);
 
   std::vector<Packet> packets_;
+  std::vector<DecodedPacket> decoded_;  ///< parallel to packets_
+  std::vector<Op> ops_;
   /// Per code word from code_base_: index into packets_ + 1, 0 = none.
   std::vector<uint32_t> packet_at_;
   uint32_t code_base_ = 0;
   std::vector<IoHandler*> handlers_;
   SparseMemory mem_;
 
-  std::array<uint32_t, 64> regs_{};
+  std::array<uint32_t, kZeroReg + 1> regs_{};
   uint32_t pc_ = 0;
   RunState state_ = RunState::kRunning;
 
-  std::vector<PendingWrite> pending_;
+  std::array<WriteSlot, kRingSlots> ring_{};  ///< indexed by due slot % 8
   bool branch_pending_ = false;
   uint32_t branch_target_ = 0;
   unsigned branch_remaining_ = 0;

@@ -163,6 +163,43 @@ TEST(SparseMem, CrossPageAccess) {
   EXPECT_EQ(mem.read32(addr), 0x11223344u);
 }
 
+TEST(SparseMem, WordAccessWrapsTheAddressSpace) {
+  SparseMemory mem;
+  mem.write32(0xfffffffe, 0x11223344);
+  EXPECT_EQ(mem.read8(0xfffffffe), 0x44);
+  EXPECT_EQ(mem.read8(0xffffffff), 0x33);
+  EXPECT_EQ(mem.read8(0x0), 0x22);
+  EXPECT_EQ(mem.read8(0x1), 0x11);
+  EXPECT_EQ(mem.read32(0xfffffffe), 0x11223344u);
+  EXPECT_EQ(mem.read16(0xffffffff), 0x2233u);
+  EXPECT_EQ(mem.touchedPages(),
+            (std::vector<uint32_t>{0x0, 0xfffff000}));
+}
+
+TEST(SparseMem, SubWordAccessAtTheLastByteOfAPage) {
+  const uint32_t last = 2 * SparseMemory::kPageSize - 1;
+  SparseMemory mem;
+  mem.write8(last, 0xab);
+  EXPECT_EQ(mem.read(last, 1), 0xabu);
+  EXPECT_EQ(mem.touchedPages(),
+            std::vector<uint32_t>{SparseMemory::kPageSize});
+  // A halfword there straddles into the next page, which reads as zero
+  // until written and is allocated by the write.
+  EXPECT_EQ(mem.read16(last), 0x00abu);
+  mem.write16(last, 0x1234);
+  EXPECT_EQ(mem.read8(last), 0x34);
+  EXPECT_EQ(mem.read8(last + 1), 0x12);
+  EXPECT_EQ(mem.read16(last), 0x1234u);
+  EXPECT_EQ(mem.touchedPages(),
+            (std::vector<uint32_t>{SparseMemory::kPageSize,
+                                   2 * SparseMemory::kPageSize}));
+  // In-page halfword and byte accesses ending on the last byte.
+  mem.write16(last - 1, 0xbeef);
+  EXPECT_EQ(mem.read16(last - 1), 0xbeefu);
+  EXPECT_EQ(mem.read(last - 1, 1), 0xefu);
+  EXPECT_EQ(mem.read32(last - 3), 0xbeef0000u);
+}
+
 TEST(SparseMem, ContentEqualsIgnoresZeroPages) {
   SparseMemory a;
   SparseMemory b;

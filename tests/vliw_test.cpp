@@ -371,17 +371,31 @@ TEST(V6xSimTest, CodeSectionsIndexAcrossTheirWholeSpan) {
 }
 
 TEST(V6xSimTest, DoubleWriteSameCycleTrapped) {
-  // Two loads issued 0 and 1 cycles apart to the same dst commit in
-  // different cycles - fine. An ALU op and an MPY writing the same reg
-  // issued 1 cycle apart collide.
-  std::vector<Packet> packets{
-      {0, {op(VOpc::kMpy, M1, regA(3), regA(1), regA(2))}},
-      {0, {op(VOpc::kAdd, L1, regA(3), regA(1), regA(2))}},
-      {0, {halt()}},
-  };
-  V6xSim sim;
-  sim.loadProgram(makeImage(std::move(packets)));
-  EXPECT_THROW(sim.run(1000), Error);
+  // An MPY and an ALU op writing the same reg issued 1 cycle apart
+  // collide; with a cycle between them they commit in different cycles.
+  // Fillers that write the same reg every cycle put the collision in each
+  // phase of the 8-slot write ring.
+  for (int filler = 0; filler < 8; ++filler) {
+    const auto image = [filler](bool gap) {
+      std::vector<Packet> packets;
+      for (int i = 0; i < filler; ++i) {
+        packets.push_back({0, {mvk(regA(3), i)}});
+      }
+      packets.push_back({0, {op(VOpc::kMpy, M1, regA(3), regA(1), regA(2))}});
+      if (gap) {
+        packets.push_back({0, {nop(1)}});
+      }
+      packets.push_back({0, {op(VOpc::kAdd, L1, regA(3), regA(1), regA(2))}});
+      packets.push_back({0, {halt()}});
+      return makeImage(std::move(packets));
+    };
+    V6xSim collide;
+    collide.loadProgram(image(false));
+    EXPECT_THROW(collide.run(1000), Error) << "filler " << filler;
+    V6xSim apart;
+    apart.loadProgram(image(true));
+    EXPECT_EQ(apart.run(1000), RunState::kHalted) << "filler " << filler;
+  }
 }
 
 TEST(V6xSimTest, BranchWhileBranchPendingTrapped) {
@@ -404,10 +418,7 @@ TEST(V6xSimTest, BranchWhileBranchPendingTrapped) {
 class StallingHandler : public IoHandler {
  public:
   StallingHandler(uint32_t base, unsigned stall_cycles)
-      : base_(base), remaining_(stall_cycles) {}
-  [[nodiscard]] bool covers(uint32_t addr) const override {
-    return addr >= base_ && addr < base_ + 0x10;
-  }
+      : IoHandler(base, 0x10), remaining_(stall_cycles) {}
   bool ready(uint32_t, bool) override {
     if (remaining_ > 0) {
       --remaining_;
@@ -425,7 +436,6 @@ class StallingHandler : public IoHandler {
   uint32_t last_ = 0;
 
  private:
-  uint32_t base_;
   unsigned remaining_;
 };
 
@@ -481,6 +491,154 @@ TEST(V6xSimTest, BreakpointsStopBeforePacket) {
   EXPECT_EQ(sim.reg(regA(2)), 0u);
   EXPECT_EQ(sim.resume(1000), RunState::kHalted);
   EXPECT_EQ(sim.reg(regA(2)), 6u);
+}
+
+// ---- issue engine edge cases ------------------------------------------------
+
+TEST(V6xSimTest, RegisterIndexOutOfRangeIsAnError) {
+  V6xSim sim;
+  sim.setReg(regB(31), 9);
+  EXPECT_EQ(sim.reg(regB(31)), 9u);
+  EXPECT_THROW((void)sim.reg(64), Error);
+  EXPECT_THROW(sim.setReg(64, 1), Error);
+  EXPECT_THROW((void)sim.reg(kNoReg), Error);
+}
+
+struct Observed {
+  uint64_t cycles;
+  uint32_t pc;
+  std::vector<uint32_t> regs;
+  bool operator==(const Observed&) const = default;
+};
+
+Observed observe(const V6xSim& sim) {
+  Observed o{sim.stats().cycles, sim.pc(), {}};
+  for (uint8_t r = 0; r < 64; ++r) {
+    o.regs.push_back(sim.reg(r));
+  }
+  return o;
+}
+
+TEST(V6xSimTest, NopTailSlicingIsExact) {
+  // A nop 9 whose tail holds a load landing (its 4th cycle) and a branch
+  // redirect (its 5th): any run() slicing stops at the same states.
+  const uint32_t base = 0x100000;
+  const std::vector<Packet> packets{
+      {0, {mvk(regA(8), 0x2000)}},
+      {0, {op(VOpc::kLdw, D1, regA(3), regA(8), kNoReg, 0),
+           op(VOpc::kB, S1, kNoReg, kNoReg, kNoReg,
+              static_cast<int32_t>(base + 5 * 4))}},  // the add
+      {0, {nop(9)}},
+      {0, {mvk(regA(1), 1)}},  // skipped
+      {0, {op(VOpc::kAdd, L1, regA(4), regA(3), regA(3))}},  // target
+      {0, {halt()}},
+  };
+  const auto sliced = [&packets](uint64_t k) {
+    V6xSim sim;
+    sim.loadProgram(makeImage(packets));
+    sim.memory().write32(0x2000, 0x01020304);
+    std::vector<Observed> stops;
+    while (sim.run(k) == RunState::kMaxCycles) {
+      stops.push_back(observe(sim));
+    }
+    stops.push_back(observe(sim));
+    return stops;
+  };
+  const std::vector<Observed> by1 = sliced(1);
+  const std::vector<Observed> by3 = sliced(3);
+  const std::vector<Observed> whole = sliced(UINT64_MAX);
+  ASSERT_EQ(whole.size(), 1u);
+  const Observed& end = whole[0];
+  EXPECT_EQ(end.cycles, 13u);  // mvk + ld||b + nop 9 + add + halt
+  EXPECT_EQ(end.regs[regA(3)], 0x01020304u);
+  EXPECT_EQ(end.regs[regA(4)], 0x02040608u);
+  EXPECT_EQ(end.regs[regA(1)], 0u);
+  EXPECT_EQ(by1.back(), end);
+  EXPECT_EQ(by3.back(), end);
+  // Every stop of the 3-cycle slicing matches the 1-cycle stop taken at
+  // the same cycle, including the ones inside the tail.
+  for (const Observed& o : by3) {
+    ASSERT_LE(o.cycles, by1.size());
+    EXPECT_EQ(o, by1[o.cycles - 1]) << "cycle " << o.cycles;
+  }
+  EXPECT_EQ(by1[5].regs[regA(3)], 0u) << "load not yet landed";
+  EXPECT_EQ(by1[6].regs[regA(3)], 0x01020304u) << "load landed in the tail";
+}
+
+TEST(V6xSimTest, HaltLandsInFlightWritesInDueOrder) {
+  // ldw a3 issues one slot before a halt packet that also writes a3. The
+  // load is due later, so it wins, whatever ring phase the halt is in.
+  for (int filler = 0; filler < 8; ++filler) {
+    std::vector<Packet> packets{{0, {mvk(regA(8), 0x2000)}}};
+    for (int i = 0; i < filler; ++i) {
+      packets.push_back({0, {mvk(regA(9), i)}});
+    }
+    packets.push_back(
+        {0, {op(VOpc::kLdw, D1, regA(3), regA(8), kNoReg, 0)}});
+    packets.push_back({0, {mvk(regA(3), 7, S2), halt()}});
+    V6xSim sim;
+    sim.loadProgram(makeImage(std::move(packets)));
+    sim.memory().write32(0x2000, 0xcafe);
+    EXPECT_EQ(sim.run(1000), RunState::kHalted);
+    EXPECT_EQ(sim.reg(regA(3)), 0xcafeu) << "filler " << filler;
+  }
+}
+
+TEST(V6xSimTest, HostileImagesOnlyRaiseErrors) {
+  // Byte flips over a program that exercises every op class: loading and
+  // running a mutant either works or throws cabt::Error, nothing else.
+  const uint32_t base = 0x100000;
+  MachineOp pred_b = op(VOpc::kB, S1, kNoReg, kNoReg, kNoReg,
+                        static_cast<int32_t>(base + 4 * 4));
+  pred_b.pred = {PredReg::kA1, false};
+  std::vector<Packet> packets{
+      {0, {mvk(regA(8), 0x2000), mvk(regB(8), 0x40, S2)}},
+      {0, {op(VOpc::kMvkh, S1, regA(7), kNoReg, kNoReg, 0xfe00),
+           mvk(regA(1), 12, S2)}},
+      {0, {op(VOpc::kStw, D1, regA(1), regA(8), kNoReg, 4),
+           op(VOpc::kLdh, D2, regB(3), regB(8), kNoReg, -2)}},
+      {0, {op(VOpc::kLdw, D1, regA(3), regA(7), kNoReg, 0)}},
+      {0, {op(VOpc::kMpy, M1, regA(4), regA(1), regA(1)),
+           op(VOpc::kAddk, S1, regA(1), kNoReg, kNoReg, -1),
+           op(VOpc::kCmpGt, L1, regA(2), regA(1), regA(5)),
+           op(VOpc::kStb, D1, regA(4), regA(8), kNoReg, 1)}},
+      {0, {pred_b, op(VOpc::kSar, S2, regB(4), regB(3), regA(1))}},
+      {0, {nop(5)}},
+      {0, {op(VOpc::kBr, S1, kNoReg, regB(8))}},
+      {0, {op(VOpc::kYield, S1, kNoReg)}},
+      {0, {halt()}},
+  };
+  const elf::Object original = makeImage(std::move(packets));
+  uint64_t state = 0x9e3779b97f4a7c15ull;
+  const auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  int loaded = 0;
+  for (int mutant = 0; mutant < 3000; ++mutant) {
+    elf::Object image = original;
+    std::vector<uint8_t>& text = image.sections[0].data;
+    for (uint64_t flips = 1 + next() % 4; flips > 0; --flips) {
+      text[next() % text.size()] ^= static_cast<uint8_t>(1 + next() % 255);
+    }
+    StallingHandler handler(0xfe000000, 2);
+    V6xSim sim;
+    sim.addIoHandler(&handler);
+    try {
+      sim.loadProgram(image);
+      ++loaded;
+      for (int resumes = 0; resumes < 4; ++resumes) {
+        if (sim.run(10000) != RunState::kYielded) {
+          break;
+        }
+      }
+    } catch (const Error&) {
+      // Rejected: the contract for bad input.
+    }
+  }
+  EXPECT_GT(loaded, 0);
 }
 
 TEST(V6xSimTest, ToStringIsReadable) {
