@@ -7,10 +7,15 @@
 // shape.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "iss/iss.h"
+#include "platform/platform.h"
+#include "soc/peripherals.h"
 #include "trc/assembler.h"
 
 namespace cabt {
@@ -448,6 +453,274 @@ done:   halt
   iss::Iss slow(defaultArch(), obj, nullptr, steppingConfig());
   ASSERT_EQ(slow.run(), iss::StopReason::kHalted);
   expectSameState(fast, slow);
+}
+
+// ---- opcode coverage: every TRC32 opcode through every engine --------
+
+// A looped program whose body executes every opcode except BKPT (which
+// ends a run, so it gets its own program below). Results fold into a
+// d0 checksum, memory and two bus devices — a free-running timer, whose
+// value depends on the exact bus time of the read, and a scratch
+// register file — so an opcode whose semantics, timing or bus
+// interaction drifts in any engine shows up in the final state. The
+// iteration counter d15 steers every conditional branch both ways.
+const char* kEveryOpcode = R"(
+_start: movi d15, 5
+        movi d0, 0
+        movha a0, hi(buf)
+        lea a0, a0, lo(buf)
+        movha a5, 0xf000
+        lea a6, a5, 0x100
+loop:   movi d1, -7
+        add16 d1, d15
+        movh d2, 0x8001
+        add d3, d1, d2
+        sub d4, d3, d0
+        and d5, d3, d4
+        or d6, d1, d5
+        xor d7, d6, d3
+        movi d8, 35
+        shl d9, d1, d8
+        shr d10, d1, d8
+        sar d11, d1, d8
+        mul d12, d3, d1
+        eq d13, d1, d1
+        ne d14, d1, d2
+        add16 d0, d4
+        add16 d0, d5
+        add16 d0, d7
+        add16 d0, d9
+        add16 d0, d10
+        add16 d0, d11
+        add16 d0, d12
+        add16 d0, d13
+        add16 d0, d14
+        lt d13, d1, d2
+        ge d14, d1, d2
+        add16 d0, d13
+        add16 d0, d14
+        ltu d13, d1, d2
+        geu d14, d1, d2
+        add16 d0, d13
+        add16 d0, d14
+        addi d5, d0, -300
+        movi16 d6, -5
+        addi16 d6, 7
+        mov16 d7, d6
+        sub16 d7, d1
+        add16 d0, d5
+        add16 d0, d7
+        nop
+        nop16
+        mova a1, d7
+        movd d8, a1
+        adda a2, a0, a1
+        suba a3, a2, a1
+        stw d0, [a3]0
+        sth d1, [a3]4
+        stb d1, [a3]6
+        ldw d9, [a0]0
+        ldh d10, [a0]4
+        ldhu d11, [a0]4
+        ldb d12, [a0]6
+        ldbu d13, [a0]6
+        sta a2, [a0]8
+        lda a4, [a0]8
+        movd d14, a4
+        add16 d0, d8
+        add16 d0, d10
+        add16 d0, d11
+        add16 d0, d12
+        add16 d0, d13
+        add16 d0, d14
+        ldw d9, [a5]0
+        stw d0, [a6]4
+        ldw d10, [a6]4
+        add16 d0, d9
+        sub16 d0, d10
+        movi d13, 3
+        jlt d15, d13, b1
+        addi16 d0, 1
+b1:     jge d15, d13, b2
+        addi16 d0, 2
+b2:     jltu d1, d13, b3
+        addi16 d0, 3
+b3:     jgeu d15, d13, b4
+        addi16 d0, 4
+b4:     jeq d15, d13, b5
+        addi16 d0, 5
+b5:     jne d15, d13, b6
+        addi16 d0, 6
+b6:     movi16 d12, 1
+        and d12, d15, d12
+        jz16 d12, b7
+        addi16 d0, 7
+b7:     jnz16 d12, b8
+        addi16 d0, 8
+b8:     jl sub1
+        movha a7, hi(b9)
+        lea a7, a7, lo(b9)
+        ji a7
+        addi16 d0, 9
+b9:     j b10
+        addi16 d0, 10
+b10:    j16 b11
+        addi16 d0, 11
+b11:    addi16 d15, -1
+        movi d13, 0
+        jne d15, d13, loop
+        halt
+sub1:   addi16 d0, 12
+        ret16
+        .data
+buf:    .word 0, 0, 0
+)";
+
+const char* kBreakpointOpcode = R"(
+_start: movi d0, 3
+loop:   addi16 d1, 5
+        addi16 d0, -1
+        jnz16 d0, loop
+        movi d2, 7
+        bkpt
+        movi d3, 9
+        halt
+)";
+
+constexpr uint32_t kTimerBase = 0xf0000000;
+constexpr uint32_t kScratchBase = 0xf0000100;
+
+/// One core on a bus carrying the timer and scratch devices the
+/// coverage program addresses.
+struct CoverageRig {
+  soc::SocBus bus;
+  soc::TimerDevice timer;
+  soc::ScratchDevice scratch;
+  std::unique_ptr<iss::Iss> iss;
+
+  CoverageRig(const elf::Object& obj, const iss::IssConfig& cfg) {
+    bus.attach(&timer, kTimerBase, 0x10);
+    bus.attach(&scratch, kScratchBase, 0x40);
+    iss = std::make_unique<iss::Iss>(defaultArch(), obj, &bus, cfg);
+    iss->enableBlockTrace(true);
+  }
+};
+
+void expectSameArchitecture(const CoverageRig& got, const CoverageRig& ref) {
+  const iss::Iss& a = *got.iss;
+  const iss::Iss& b = *ref.iss;
+  EXPECT_EQ(a.stopReason(), b.stopReason());
+  EXPECT_EQ(a.pc(), b.pc());
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_EQ(a.d(i), b.d(i)) << "d" << i;
+    EXPECT_EQ(a.a(i), b.a(i)) << "a" << i;
+  }
+  EXPECT_TRUE(a.memory().contentEquals(b.memory()));
+  const iss::IssStats& s = a.stats();
+  const iss::IssStats& r = b.stats();
+  EXPECT_EQ(s.instructions, r.instructions);
+  EXPECT_EQ(s.cycles, r.cycles);
+  EXPECT_EQ(s.pipeline_cycles, r.pipeline_cycles);
+  EXPECT_EQ(s.branch_extra, r.branch_extra);
+  EXPECT_EQ(s.cache_penalty, r.cache_penalty);
+  EXPECT_EQ(s.blocks, r.blocks);
+  EXPECT_EQ(s.icache_accesses, r.icache_accesses);
+  EXPECT_EQ(s.icache_misses, r.icache_misses);
+  EXPECT_EQ(s.cond_branches, r.cond_branches);
+  EXPECT_EQ(s.cond_taken, r.cond_taken);
+  EXPECT_EQ(s.mispredicts, r.mispredicts);
+  EXPECT_EQ(s.io_reads, r.io_reads);
+  EXPECT_EQ(s.io_writes, r.io_writes);
+  EXPECT_EQ(s.irqs_taken, r.irqs_taken);
+  EXPECT_EQ(s.irq_entry_cycles, r.irq_entry_cycles);
+  ASSERT_EQ(a.blockTrace().size(), b.blockTrace().size());
+  for (size_t i = 0; i < a.blockTrace().size(); ++i) {
+    const iss::BlockRecord& x = a.blockTrace()[i];
+    const iss::BlockRecord& y = b.blockTrace()[i];
+    EXPECT_EQ(x.addr, y.addr) << "block " << i;
+    EXPECT_EQ(x.pipeline_cycles, y.pipeline_cycles) << "block " << i;
+    EXPECT_EQ(x.branch_extra, y.branch_extra) << "block " << i;
+    EXPECT_EQ(x.cache_penalty, y.cache_penalty) << "block " << i;
+  }
+  EXPECT_EQ(got.scratch.reg(1), ref.scratch.reg(1));
+  ASSERT_EQ(got.bus.log().size(), ref.bus.log().size());
+  for (size_t i = 0; i < got.bus.log().size(); ++i) {
+    EXPECT_EQ(got.bus.log()[i].soc_cycle, ref.bus.log()[i].soc_cycle)
+        << "transaction " << i;
+    EXPECT_EQ(got.bus.log()[i].value, ref.bus.log()[i].value)
+        << "transaction " << i;
+  }
+}
+
+TEST(OpcodeCoverage, EveryOpcodeRunsBitIdenticallyOnEveryEngine) {
+  const elf::Object main_obj = trc::assemble(kEveryOpcode);
+  const elf::Object bkpt_obj = trc::assemble(kBreakpointOpcode);
+  const struct {
+    const elf::Object* obj;
+    iss::StopReason stop;
+  } programs[] = {{&main_obj, iss::StopReason::kHalted},
+                  {&bkpt_obj, iss::StopReason::kBreakpoint}};
+
+  // Executed-opcode set, collected by single-stepping the programs on
+  // the per-instruction engine.
+  std::set<trc::Opc> executed;
+  for (const auto& p : programs) {
+    iss::IssConfig cfg;
+    cfg.use_block_cache = false;
+    CoverageRig rig(*p.obj, cfg);
+    std::map<uint32_t, trc::Opc> opc_at;
+    for (const trc::Instr& in : rig.iss->blockGraph().instrs()) {
+      opc_at[in.addr] = in.opc;
+    }
+    while (rig.iss->stopReason() == iss::StopReason::kRunning) {
+      executed.insert(opc_at.at(rig.iss->pc()));
+      rig.iss->step();
+    }
+    EXPECT_EQ(rig.iss->stopReason(), p.stop);
+  }
+  for (int o = static_cast<int>(trc::Opc::kAdd);
+       o < static_cast<int>(trc::Opc::kOpcCount); ++o) {
+    EXPECT_EQ(executed.count(static_cast<trc::Opc>(o)), 1u)
+        << "opcode never executed: "
+        << trc::opInfo(static_cast<trc::Opc>(o)).mnemonic;
+  }
+
+  const xlat::DetailLevel levels[] = {
+      xlat::DetailLevel::kFunctional, xlat::DetailLevel::kStatic,
+      xlat::DetailLevel::kBranchPredict, xlat::DetailLevel::kICache};
+  const struct {
+    iss::DispatchMode mode;
+    const char* name;
+  } modes[] = {{iss::DispatchMode::kLookup, "lookup"},
+               {iss::DispatchMode::kChained, "chained"},
+               {iss::DispatchMode::kChainedTraces, "traces"},
+               {iss::DispatchMode::kThreaded, "threaded"}};
+  for (const auto& p : programs) {
+    for (const xlat::DetailLevel level : levels) {
+      SCOPED_TRACE(std::string("level ") + xlat::detailLevelName(level) +
+                   (p.obj == &bkpt_obj ? ", bkpt program" : ", main program"));
+      iss::IssConfig ref_cfg;
+      ref_cfg.use_block_cache = false;
+      CoverageRig ref(*p.obj, platform::issConfigFor(level, ref_cfg));
+      ASSERT_EQ(ref.iss->run(), p.stop);
+      for (const auto& m : modes) {
+        SCOPED_TRACE(m.name);
+        iss::IssConfig cfg;
+        cfg.dispatch_mode = m.mode;
+        cfg.trace_threshold = 2;
+        cfg.threaded_threshold = 2;
+        CoverageRig rig(*p.obj, platform::issConfigFor(level, cfg));
+        ASSERT_EQ(rig.iss->run(), p.stop);
+        expectSameArchitecture(rig, ref);
+        if (m.mode == iss::DispatchMode::kThreaded && p.obj == &main_obj) {
+          // The loop body runs five times and lowers after two
+          // dispatches: most of it retires inside threaded programs.
+          EXPECT_GT(rig.iss->stats().threaded_instrs,
+                    rig.iss->stats().instructions / 2);
+        }
+      }
+    }
+  }
 }
 
 TEST(BreakpointFlags, AddAndRemoveMidRunTogglesTraceUse) {
