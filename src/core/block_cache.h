@@ -49,6 +49,18 @@ namespace cabt::core {
 constexpr int32_t kTraceUnformed = -1;
 constexpr int32_t kTraceDeclined = -2;
 
+/// Read-only pointers into one block's or trace's predecoded arrays (see
+/// ExecBlock for their meaning) — what the interpreter and the threaded
+/// lowering walk. The line-group arrays are empty, and never indexed,
+/// without an icache.
+struct Predecoded {
+  const trc::Instr* instrs = nullptr;
+  const uint32_t* cum = nullptr;
+  const uint8_t* new_line = nullptr;
+  const uint32_t* line_set = nullptr;
+  const uint32_t* line_tag = nullptr;
+};
+
 /// One executable cached block: the per-core mutable residue plus a
 /// pointer into the shared artifact's immutable tables. The forwarding
 /// accessors keep dispatch reading the precomputed arrays exactly as
@@ -82,6 +94,11 @@ struct ExecBlock {
   }
   [[nodiscard]] const std::vector<uint32_t>& line_tag() const {
     return stat->line_tag;
+  }
+  [[nodiscard]] Predecoded predecoded() const {
+    return {stat->instrs.data(), stat->cum_cycles.data(),
+            stat->new_line.data(), stat->line_set.data(),
+            stat->line_tag.data()};
   }
   /// Successor indices into BlockCache::blocks() (-1 = none / dynamic).
   [[nodiscard]] int32_t target() const { return stat->target; }
@@ -145,6 +162,10 @@ struct Trace {
   std::vector<uint32_t> line_set;
   std::vector<uint32_t> line_tag;
   std::vector<TraceSegment> segs;
+  [[nodiscard]] Predecoded predecoded() const {
+    return {instrs.data(), cum_cycles.data(), new_line.data(),
+            line_set.data(), line_tag.data()};
+  }
   /// Total instruction count across all segments. The dispatcher admits
   /// a trace only when the whole trace fits the remaining instruction
   /// budget, so no per-boundary budget test survives inside.

@@ -25,24 +25,22 @@ namespace cabt::core {
 
 namespace {
 
-/// Lowers instructions [0, n) of one segment into `out`. The cum/line
-/// arrays are the block cache's per-instruction tables for the same
-/// range (line data indexed only when the binder says the icache is on).
-void lowerSegment(const trc::Instr* instrs, const uint32_t* cum,
-                  const uint8_t* new_line, const uint32_t* line_set,
-                  const uint32_t* line_tag, size_t n,
+/// Lowers instructions [first, first + n) of a block's or trace's
+/// predecoded arrays (line data indexed only when the binder says the
+/// icache is on).
+void lowerSegment(const Predecoded& code, size_t first, size_t n,
                   const arch::BranchModel& bm, const ThreadedBinder& binder,
                   std::vector<ThreadedOp>& out) {
   using trc::Opc;
-  for (size_t i = 0; i < n; ++i) {
-    const trc::Instr& in = instrs[i];
+  for (size_t i = first; i < first + n; ++i) {
+    const trc::Instr& in = code.instrs[i];
     ThreadedOp op;
-    const bool touch = binder.icache_on && new_line[i] != 0;
+    const bool touch = binder.icache_on && code.new_line[i] != 0;
     op.fn = binder.select(in, touch);
-    op.cum = cum[i];
+    op.cum = code.cum[i];
     if (touch) {
-      op.line_set = line_set[i];
-      op.line_tag = line_tag[i];
+      op.line_set = code.line_set[i];
+      op.line_tag = code.line_tag[i];
     }
     op.rd = in.rd;
     op.ra = in.ra;
@@ -69,19 +67,19 @@ void lowerSegment(const trc::Instr* instrs, const uint32_t* cum,
       case arch::OpClass::kBranchInd:
         op.x0 = static_cast<uint8_t>(bm.unconditionalExtra(in.cls()));
         break;
-      case arch::OpClass::kHalt:
-        // HALT leaves the pc on itself; BKPT advances past itself.
-        op.a = in.opc == Opc::kBkpt ? in.addr + in.size : in.addr;
-        break;
       default:
         if (in.opc == Opc::kMovh || in.opc == Opc::kMovha) {
           op.a = static_cast<uint32_t>(in.imm) << 16;
+        } else if (in.opc == Opc::kHalt) {
+          op.a = in.addr;  // the pc rests on the HALT
+        } else if (in.opc == Opc::kBkpt) {
+          op.a = in.addr + in.size;  // BKPT (class kNop) resumes past itself
         }
         break;
     }
     out.push_back(op);
   }
-  const trc::Instr& last = instrs[n - 1];
+  const trc::Instr& last = code.instrs[first + n - 1];
   if (!last.isControlTransfer()) {
     // Leader-split segment end: no control transfer sets the pc, the
     // synthetic terminator advances it to the fall-through leader. (A
@@ -91,7 +89,7 @@ void lowerSegment(const trc::Instr* instrs, const uint32_t* cum,
     ThreadedOp end;
     end.fn = binder.end;
     end.a = last.addr + last.size;
-    end.cum = cum[n - 1];
+    end.cum = code.cum[first + n - 1];
     out.push_back(end);
   }
 }
@@ -110,12 +108,8 @@ int32_t BlockCache::lowerBlockThreaded(int32_t idx,
   prog.addr = block.addr();
   prog.total_instrs = static_cast<uint32_t>(block.instrs().size());
   prog.ops.reserve(need);
-  const bool icache = binder.icache_on;
-  lowerSegment(block.instrs().data(), block.cum_cycles().data(),
-               icache ? block.new_line().data() : nullptr,
-               icache ? block.line_set().data() : nullptr,
-               icache ? block.line_tag().data() : nullptr, block.instrs().size(),
-               branch_, binder, prog.ops);
+  lowerSegment(block.predecoded(), 0, block.instrs().size(), branch_, binder,
+               prog.ops);
   prog.segs.push_back({idx, 0, block.addr()});
   threaded_ops_ += prog.ops.size();
   threaded_.push_back(std::move(prog));
@@ -134,19 +128,14 @@ int32_t BlockCache::lowerTraceThreaded(int32_t trace_idx,
   prog.addr = trace.addr;
   prog.total_instrs = trace.total_instrs;
   prog.ops.reserve(need);
-  const bool icache = binder.icache_on;
   for (const TraceSegment& seg : trace.segs) {
     prog.segs.push_back(
         {seg.block, static_cast<uint32_t>(prog.ops.size()), seg.entry_addr});
     // The flattened trace arrays restart cum_cycles and the line-group
     // sequence at every segment, so lowering a [first, first+count)
     // slice is identical to lowering the constituent block.
-    lowerSegment(trace.instrs.data() + seg.first,
-                 trace.cum_cycles.data() + seg.first,
-                 icache ? trace.new_line.data() + seg.first : nullptr,
-                 icache ? trace.line_set.data() + seg.first : nullptr,
-                 icache ? trace.line_tag.data() + seg.first : nullptr,
-                 seg.count, branch_, binder, prog.ops);
+    lowerSegment(trace.predecoded(), seg.first, seg.count, branch_, binder,
+                 prog.ops);
   }
   threaded_ops_ += prog.ops.size();
   threaded_.push_back(std::move(prog));

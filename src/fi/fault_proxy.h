@@ -7,8 +7,8 @@
 //
 // An armed stall window models a hung bus interface: reads in
 // [from, until) return stall_value without reaching the device, writes are
-// dropped. The device's clock keeps advancing (clockCycle/advanceTo are
-// always forwarded) — the device is alive, the guest just cannot talk to it.
+// dropped. The device's clock keeps advancing (advanceTo is always
+// forwarded) — the device is alive, the guest just cannot talk to it.
 // That is the shape needed for watchdog timeouts: stall the watchdog port
 // and the guest's PET writes vanish while the deadline keeps counting.
 //
@@ -60,7 +60,6 @@ class FaultProxy : public soc::Device {
     inner_->write(offset, value, size, soc_cycle);
   }
 
-  void clockCycle(uint64_t soc_cycle) override { inner_->clockCycle(soc_cycle); }
   void advanceTo(uint64_t from, uint64_t to) override {
     inner_->advanceTo(from, to);
   }

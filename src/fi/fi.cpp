@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 
 #include "common/error.h"
 #include "common/strutil.h"
@@ -25,10 +26,15 @@ FaultKind parseKind(std::string_view s) {
                                       "stall/ring)");
 }
 
-uint64_t parseU64(std::string_view s) {
+/// A non-negative field value that must fit `T`: out-of-range input is
+/// rejected, never truncated (index=4294967296 must not become d0).
+template <class T>
+T parseField(std::string_view s) {
   const int64_t v = parseInt(s);
   CABT_CHECK(v >= 0, "fault field must be non-negative: " << std::string(s));
-  return static_cast<uint64_t>(v);
+  CABT_CHECK(static_cast<uint64_t>(v) <= std::numeric_limits<T>::max(),
+             "fault field value " << std::string(s) << " does not fit");
+  return static_cast<T>(v);
 }
 
 }  // namespace
@@ -42,7 +48,7 @@ FaultSpec parseFaultSpec(const std::string& spec) {
   f.kind = parseKind(trim(std::string_view(spec).substr(0, at)));
   std::string_view rest = std::string_view(spec).substr(at + 1);
   const size_t colon = rest.find(':');
-  f.cycle = parseU64(trim(rest.substr(0, colon)));
+  f.cycle = parseField<uint64_t>(trim(rest.substr(0, colon)));
   if (colon != std::string_view::npos) {
     for (std::string_view kv : split(rest.substr(colon + 1), ',')) {
       kv = trim(kv);
@@ -55,19 +61,19 @@ FaultSpec parseFaultSpec(const std::string& spec) {
       const std::string_view key = trim(kv.substr(0, eq));
       const std::string_view val = trim(kv.substr(eq + 1));
       if (key == "core") {
-        f.core = static_cast<size_t>(parseU64(val));
+        f.core = parseField<size_t>(val);
       } else if (key == "index") {
-        f.index = static_cast<unsigned>(parseU64(val));
+        f.index = parseField<unsigned>(val);
       } else if (key == "addr") {
-        f.addr = static_cast<uint32_t>(parseU64(val));
+        f.addr = parseField<uint32_t>(val);
       } else if (key == "hi") {
-        f.addr_hi = static_cast<uint32_t>(parseU64(val));
+        f.addr_hi = parseField<uint32_t>(val);
       } else if (key == "mask") {
-        f.mask = static_cast<uint32_t>(parseU64(val));
+        f.mask = parseField<uint32_t>(val);
       } else if (key == "until") {
-        f.until = parseU64(val);
+        f.until = parseField<uint64_t>(val);
       } else if (key == "count") {
-        f.count = static_cast<uint32_t>(parseU64(val));
+        f.count = parseField<uint32_t>(val);
       } else if (key == "device") {
         f.device = std::string(val);
       } else {
@@ -88,6 +94,9 @@ void Campaign::arm(platform::ReferenceBoard& board) {
   }
   bool hooked_ring = false;
   for (const FaultSpec& spec : specs_) {
+    CABT_CHECK(spec.core < board.numCores(),
+               "fault targets core " << spec.core << " of a "
+                                     << board.numCores() << "-core board");
     switch (spec.kind) {
       case FaultKind::kDataRegFlip:
       case FaultKind::kAddrRegFlip:

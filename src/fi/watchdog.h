@@ -94,10 +94,6 @@ class WatchdogDevice : public soc::Device {
     }
   }
 
-  void clockCycle(uint64_t soc_cycle) override {
-    advanceTo(soc_cycle - 1, soc_cycle);
-  }
-
   void advanceTo(uint64_t, uint64_t to) override {
     if (enabled_ && deadline_ <= to) {
       ++fired_;

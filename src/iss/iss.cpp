@@ -200,13 +200,12 @@ void Iss::maybeTakeIrq() {
   }
 }
 
-bool Iss::applyDueFaults() {
+void Iss::applyDueFaults() {
   // Runs in private slices too: worker-thread prefixes are real committed
   // execution, so core-private faults must land there as well. Everything
   // below touches only core-private state (the kMemWord bus check is
   // covers(), which private mode may call); no trace-sink writes — the
   // campaign emits the timeline instants post-run from the fired log.
-  bool fired = false;
   const uint64_t now = localTime();
   while (const fi::CoreFault* f = injector_->take(now)) {
     fi::FiredFault rec;
@@ -249,9 +248,7 @@ bool Iss::applyDueFaults() {
       }
     }
     injector_->recordFired(rec);
-    fired = true;
   }
-  return fired;
 }
 
 bool Iss::checkDebugBreak() {
@@ -330,20 +327,12 @@ StopReason Iss::step() {
     stop_ = StopReason::kMaxInstructions;
     return stop_;
   }
-  // Basic-block boundary: commit the open block, then sample the
-  // interrupt input — the only points where interrupts are taken, so the
-  // stepping engine and the block-dispatch engine accept every interrupt
-  // at the identical cycle count.
+  // Basic-block boundary: the epoch runs here, so the stepping engine and
+  // the block engines accept every interrupt and fault at the identical
+  // cycle count. The stepping loop's quantum-yield check runs before
+  // step() (before the lazy commit), so this epoch never yields.
   if (isLeader(pc_)) {
-    if (in_block_) {
-      finishBlock();
-    }
-    observeBoundary();
-    // The stepping loop's quantum-yield check runs before step(), so this
-    // epoch is already known not to yield: fault injection lands here,
-    // matching the block engines' after-yield-check placement.
-    pollFaults();
-    maybeTakeIrq();
+    boundaryEpoch(kNoTimeLimit);
   }
   if (checkDebugBreak()) {
     return stop_;
@@ -360,10 +349,7 @@ StopReason Iss::step() {
   if (config_.model_timing) {
     if (!in_block_ || isLeader(pc_)) {
       finishBlock();
-      current_block_ = BlockRecord{};
-      current_block_.addr = pc_;
-      in_block_ = true;
-      ++stats_.blocks;
+      openBlock(pc_);
     }
     // Instruction fetch: one cache access per distinct consecutive line
     // within the block (the cache-analysis-block rule).
@@ -381,23 +367,13 @@ StopReason Iss::step() {
 
   execute(instr);
   ++stats_.instructions;
-  if (stop_ == StopReason::kHalted) {
-    finishBlock();
-    syncBusClock();
-  }
+  finishIfHalted();
   return stop_;
 }
 
 void Iss::dispatchBlock(core::ExecBlock& block) {
-  ++block.exec_count;
-  ++stats_.cached_blocks;
   const bool timing = config_.model_timing;
-  if (timing) {
-    current_block_ = BlockRecord{};
-    current_block_.addr = block.addr();
-    in_block_ = true;
-    ++stats_.blocks;
-  }
+  enterBlock(block, timing);
   const size_t n = block.instrs().size();
   for (size_t i = 0; i < n; ++i) {
     const Instr& instr = block.instrs()[i];
@@ -413,79 +389,69 @@ void Iss::dispatchBlock(core::ExecBlock& block) {
       break;  // HALT or BKPT mid-block; live_pipe_ holds the partial cost
     }
   }
-  if (stop_ == StopReason::kHalted) {
-    finishBlock();
-    syncBusClock();
-  }
+  finishIfHalted();
 }
 
-template <bool Timing, bool ICache>
-void Iss::bailOutOfBlockT(core::ExecBlock& block, size_t i) {
-  bailed_shared_ = true;
-  // Instructions [0, i) executed; pc_ already rests on instruction i
-  // (interior instructions are straight-line by block construction).
-  // Rebuild the stepping engine's warm view so the drain's step()
-  // resumes mid-block bit-exactly: replayed issue schedule, live_pipe_
-  // at the partial block's cost, line tracking at instruction i-1 (the
-  // icache touch for instruction i has not happened yet — step() will
-  // perform it iff i starts a new consecutive line, which is exactly
-  // the block cache's precomputed new_line rule).
-  if constexpr (Timing) {
-    timer_.reset();
-    for (size_t j = 0; j < i; ++j) {
-      timer_.issue(block.instrs()[j].timedOp());
-    }
-    live_pipe_ = timer_.cycles();
-    if constexpr (ICache) {
-      have_line_ = true;
-      last_line_ = desc_.icache.lineOf(block.instrs()[i - 1].addr);
-    }
+void Iss::rewarmStepping(const core::ExecBlock& block, size_t n) {
+  timer_.reset();
+  for (size_t j = 0; j < n; ++j) {
+    timer_.issue(block.instrs()[j].timedOp());
+  }
+  live_pipe_ = timer_.cycles();
+  if (icacheOn()) {
+    have_line_ = true;
+    last_line_ = desc_.icache.lineOf(block.instrs()[n - 1].addr);
   }
 }
 
 template <bool Timing, bool ICache, bool BranchX, bool Bail>
-void Iss::dispatchBlockT(core::ExecBlock& block) {
-  ++block.exec_count;
-  ++stats_.cached_blocks;
-  if constexpr (Timing) {
-    current_block_ = BlockRecord{};
-    current_block_.addr = block.addr();
-    in_block_ = true;
-    ++stats_.blocks;
-  }
-  const Instr* instrs = block.instrs().data();
-  const uint32_t* cum = block.cum_cycles().data();
-  const uint8_t* new_line = ICache ? block.new_line().data() : nullptr;
-  const uint32_t* line_set = ICache ? block.line_set().data() : nullptr;
-  const uint32_t* line_tag = ICache ? block.line_tag().data() : nullptr;
-  const size_t n = block.instrs().size();
-  for (size_t i = 0; i < n; ++i) {
-    const Instr& instr = instrs[i];
+uint32_t Iss::interpretT(const core::Predecoded& code, uint32_t first,
+                         uint32_t n) {
+  for (uint32_t i = 0; i < n; ++i) {
+    const uint32_t k = first + i;
     if constexpr (Bail) {
       // i == 0 was tested by the caller before the block bookkeeping.
-      if (i > 0 && touchesShared(instr)) {
-        bailOutOfBlockT<Timing, ICache>(block, i);
-        return;
+      if (i > 0 && touchesShared(code.instrs[k])) {
+        bailed_shared_ = true;
+        return i;
       }
     }
     if constexpr (ICache) {
-      if (new_line[i] != 0) {
-        icacheAccessTagged(line_set[i], line_tag[i]);
+      if (code.new_line[k] != 0) {
+        icacheAccessTagged(code.line_set[k], code.line_tag[k]);
       }
     }
     if constexpr (Timing) {
-      live_pipe_ = cum[i];
+      live_pipe_ = code.cum[k];
     }
-    executeT<BranchX>(instr);
+    executeT<BranchX>(code.instrs[k]);
     ++stats_.instructions;
     if (stop_ != StopReason::kRunning) {
       break;  // HALT or BKPT mid-block; live_pipe_ holds the partial cost
     }
   }
-  if (stop_ == StopReason::kHalted) {
-    finishBlock();
-    syncBusClock();
+  return n;
+}
+
+template <bool Timing, bool ICache, bool BranchX, bool Bail>
+void Iss::dispatchBlockT(core::ExecBlock& block) {
+  enterBlock(block, Timing);
+  const uint32_t ran = interpretT<Timing, ICache, BranchX, Bail>(
+      block.predecoded(), 0, static_cast<uint32_t>(block.instrs().size()));
+  if constexpr (Bail) {
+    if (bailed_shared_) {
+      // Instructions [0, ran) executed and pc_ rests on the next one
+      // (interior instructions are straight-line by block construction).
+      // The icache touch of that instruction has not happened: step()
+      // performs it iff it starts a new line — the block cache's
+      // new_line rule — so the drain resumes mid-block bit-exactly.
+      if constexpr (Timing) {
+        rewarmStepping(block, ran);
+      }
+      return;
+    }
   }
+  finishIfHalted();
 }
 
 int32_t Iss::resolveNext(core::ExecBlock& block) {
@@ -513,92 +479,45 @@ int32_t Iss::afterBlock(core::ExecBlock& block) {
     if (next < 0 && stop_ == StopReason::kRunning &&
         !graph_.isLeaderFast(pc_)) {
       // Indirect transfer into the middle of a block: per-instruction
-      // semantics keep the current block open across the jump, so restore
-      // the stepping engine's view of it (warm issue schedule and line
-      // tracking) before falling back.
-      timer_.reset();
-      for (const Instr& instr : block.instrs()) {
-        timer_.issue(instr.timedOp());
-      }
-      live_pipe_ = timer_.cycles();
-      if (icacheOn()) {
-        have_line_ = true;
-        last_line_ = desc_.icache.lineOf(block.instrs().back().addr);
-      }
+      // semantics keep the current block open across the jump.
+      rewarmStepping(block, block.instrs().size());
     }
   }
   return next;
 }
 
-template <bool Timing, bool ICache, bool BranchX>
-int32_t Iss::dispatchTraceT(core::Trace& trace, uint64_t time_limit,
-                            bool* epoch_done) {
+template <bool Timing, class RunSegment>
+int32_t Iss::walkTrace(core::Trace& trace, uint64_t time_limit,
+                       bool* epoch_done, RunSegment run_segment) {
   // Admission (runChainedT) guaranteed the whole trace fits the
   // instruction budget, so no budget test survives inside the trace.
   ++trace.dispatches;
   ++stats_.trace_dispatches;
   std::vector<core::ExecBlock>& blocks = cache_->blocks();
-  const Instr* instrs = trace.instrs.data();
-  const uint32_t* cum = trace.cum_cycles.data();
-  const uint8_t* new_line = ICache ? trace.new_line.data() : nullptr;
-  const uint32_t* line_set = ICache ? trace.line_set.data() : nullptr;
-  const uint32_t* line_tag = ICache ? trace.line_tag.data() : nullptr;
   const core::TraceSegment* segs = trace.segs.data();
   const size_t num_segs = trace.segs.size();
   for (size_t s = 0;; ++s) {
-    const core::TraceSegment& seg = segs[s];
-    core::ExecBlock& block = blocks[static_cast<size_t>(seg.block)];
-    ++block.exec_count;
+    core::ExecBlock& block = blocks[static_cast<size_t>(segs[s].block)];
     ++block.trace_execs;
-    ++stats_.cached_blocks;
     ++stats_.trace_blocks;
-    if constexpr (Timing) {
-      current_block_ = BlockRecord{};
-      current_block_.addr = block.addr();
-      in_block_ = true;
-      ++stats_.blocks;
-    }
-    const uint32_t first = seg.first;
-    const uint32_t count = seg.count;
-    for (uint32_t i = 0; i < count; ++i) {
-      const Instr& instr = instrs[first + i];
-      if constexpr (ICache) {
-        if (new_line[first + i] != 0) {
-          icacheAccessTagged(line_set[first + i], line_tag[first + i]);
-        }
-      }
-      if constexpr (Timing) {
-        live_pipe_ = cum[first + i];
-      }
-      executeT<BranchX>(instr);
-      ++stats_.instructions;
-      if (stop_ != StopReason::kRunning) {
-        if (stop_ == StopReason::kHalted) {
-          finishBlock();
-          syncBusClock();
-        }
-        return -1;  // HALT or BKPT mid-block
-      }
+    enterBlock(block, Timing);
+    run_segment(s);
+    if (stop_ != StopReason::kRunning) {
+      finishIfHalted();
+      return -1;  // HALT or BKPT mid-block
     }
     if (s + 1 == num_segs) {
       return afterBlock<Timing>(block);  // chain off the trace end
     }
-    // Original block boundary inside the trace: the identical epoch
-    // sequence the outer loop performs between two chained blocks —
-    // lazy commit, quantum yield, interrupt sample, then the guard.
-    finishBlock();
-    observeBoundary();
-    if (localTime() >= time_limit) {
+    // Original block boundary inside the trace: the epoch the outer loop
+    // runs between two chained blocks, then the guard.
+    if (!boundaryEpoch(time_limit)) {
       return kDispatchYield;  // resumable: pc_ rests on the next leader
     }
-    pollFaults();  // a pc-redirecting fault fails the guard below
-    if (irq_ != nullptr) {
-      maybeTakeIrq();
-    }
     if (pc_ != segs[s + 1].entry_addr) {
-      // Guard failure: the branch went the non-dominant way or an
-      // interrupt redirected control. Bail to block granularity; the
-      // actual successor may still chain. This boundary's epoch has
+      // Guard failure: the branch went the non-dominant way, or a fault
+      // or an interrupt redirected control. Bail to block granularity;
+      // the actual successor may still chain. This boundary's epoch has
       // already run — the outer loop must not repeat it.
       ++stats_.guard_bails;
       if (trace_sink_ != nullptr) {
@@ -616,8 +535,6 @@ StopReason Iss::runChainedT(uint64_t time_limit, bool traces,
                             bool threaded) {
   core::BlockCache& cache = blockCache();
   std::vector<core::ExecBlock>& blocks = cache.blocks();
-  const core::TraceOptions trace_opts{config_.trace_max_blocks,
-                                      config_.trace_max_instrs};
   const core::ThreadedBinder binder =
       threaded ? threadedBinder() : core::ThreadedBinder{};
   int32_t next_idx = -1;
@@ -637,9 +554,9 @@ StopReason Iss::runChainedT(uint64_t time_limit, bool traces,
     next_idx = -1;
     bool via_chain = block != nullptr;
     if (epoch_done) {
-      // A trace bailed *after* running this boundary's commit/yield/
-      // interrupt epoch: resolve the block and dispatch directly, the
-      // way the epoch branch below would have continued.
+      // A trace bailed *after* running this boundary's epoch: resolve
+      // the block and dispatch directly, the way the epoch branch below
+      // would have continued.
       epoch_done = false;
       if (block == nullptr && !in_block_) {
         block = cache.lookup(pc_);
@@ -647,26 +564,15 @@ StopReason Iss::runChainedT(uint64_t time_limit, bool traces,
     } else if (block != nullptr || graph_.isLeaderFast(pc_)) {
       // A chained successor is by construction a leader the pc has
       // already reached; otherwise one bitmap probe decides whether this
-      // is a block boundary. A still-open block is committed lazily,
-      // exactly when the stepping engine would: at the first instruction
-      // of the next leader.
-      if (in_block_) {
-        finishBlock();
-      }
-      observeBoundary();
-      if (localTime() >= time_limit) {
+      // is a block boundary.
+      if (!boundaryEpoch(time_limit)) {
         return StopReason::kCycleLimit;  // resumable: stop_ stays running
       }
-      if (pollFaults() && block != nullptr && pc_ != block->addr()) {
-        block = nullptr;  // fault redirected pc_: the chained edge is stale
+      if (block != nullptr && pc_ != block->addr()) {
+        // A fault or an interrupt redirected pc_ (the vector is a
+        // leader too): the chained edge no longer holds.
+        block = nullptr;
         via_chain = false;
-      }
-      if (irq_ != nullptr) {
-        maybeTakeIrq();  // may redirect pc_ to the vector (also a leader)
-        if (block != nullptr && pc_ != block->addr()) {
-          block = nullptr;  // redirected: the chained edge no longer holds
-          via_chain = false;
-        }
       }
       if (block == nullptr && !in_block_) {
         block = cache.lookup(pc_);
@@ -690,7 +596,7 @@ StopReason Iss::runChainedT(uint64_t time_limit, bool traces,
       // First instruction of the block, tested before any block-entry
       // bookkeeping: on a bail here the drain re-dispatches the whole
       // block from scratch. Interior instructions are tested inside
-      // dispatchBlockT, which repairs the half-executed block instead.
+      // interpretT, and dispatchBlockT repairs the half-executed block.
       if (touchesShared(block->instrs()[0])) {
         bailed_shared_ = true;
         return StopReason::kCycleLimit;
@@ -708,7 +614,7 @@ StopReason Iss::runChainedT(uint64_t time_limit, bool traces,
           block->exec_count >= config_.trace_threshold &&
           block->exec_count >= block->trace_retry_at) {
         block->trace = cache.formTrace(
-            static_cast<int32_t>(block - blocks.data()), trace_opts);
+            static_cast<int32_t>(block - blocks.data()), core::TraceOptions{});
         if (trace_sink_ != nullptr && block->trace >= 0) {
           // Sequential path only: private slices run with traces off.
           trace_sink_->instant(trace_lane_, "trace_form", localTime(),
@@ -731,23 +637,28 @@ StopReason Iss::runChainedT(uint64_t time_limit, bool traces,
           if (threaded && trace.threaded == core::kTraceUnformed) {
             // A formed trace is hot by definition (it is past
             // trace_threshold dispatches): lower it on this entry.
-            trace.threaded = cache.lowerTraceThreaded(
-                block->trace, binder, config_.threaded_budget_ops);
+            trace.threaded = cache.lowerTraceThreaded(block->trace, binder,
+                                                      kThreadedBudgetOps);
             if (trace.threaded >= 0) {
               ++stats_.threaded_lowerings;
             } else {
               ++stats_.threaded_declined;
             }
           }
+          const uint64_t before = stats_.instructions;
           if (threaded && trace.threaded >= 0) {
-            const uint64_t before = stats_.instructions;
-            next_idx = dispatchThreadedTraceT<Timing>(
-                trace, cache.threaded(trace.threaded), time_limit,
-                &epoch_done);
+            const core::ThreadedProgram& prog = cache.threaded(trace.threaded);
+            ++stats_.threaded_dispatches;
+            next_idx = walkTrace<Timing>(trace, time_limit, &epoch_done,
+                                         [&](size_t s) { runThreaded(prog, s); });
             stats_.threaded_instrs += stats_.instructions - before;
           } else {
-            next_idx = dispatchTraceT<Timing, ICache, BranchX>(
-                trace, time_limit, &epoch_done);
+            const core::Predecoded code = trace.predecoded();
+            next_idx = walkTrace<Timing>(
+                trace, time_limit, &epoch_done, [&](size_t s) {
+                  interpretT<Timing, ICache, BranchX, false>(
+                      code, trace.segs[s].first, trace.segs[s].count);
+                });
           }
           if (next_idx == kDispatchYield) {
             return StopReason::kCycleLimit;
@@ -761,7 +672,7 @@ StopReason Iss::runChainedT(uint64_t time_limit, bool traces,
           block->exec_count >= config_.threaded_threshold) {
         block->threaded = cache.lowerBlockThreaded(
             static_cast<int32_t>(block - blocks.data()), binder,
-            config_.threaded_budget_ops);
+            kThreadedBudgetOps);
         if (block->threaded >= 0) {
           ++stats_.threaded_lowerings;
         } else {
@@ -770,8 +681,10 @@ StopReason Iss::runChainedT(uint64_t time_limit, bool traces,
       }
       if (block->threaded >= 0) {
         const uint64_t before = stats_.instructions;
-        dispatchThreadedBlockT<Timing>(*block,
-                                       cache.threaded(block->threaded));
+        ++stats_.threaded_dispatches;
+        enterBlock(*block, Timing);
+        runThreaded(cache.threaded(block->threaded), 0);
+        finishIfHalted();
         stats_.threaded_instrs += stats_.instructions - before;
         next_idx = afterBlock<Timing>(*block);
         continue;
@@ -781,7 +694,7 @@ StopReason Iss::runChainedT(uint64_t time_limit, bool traces,
     if constexpr (Bail) {
       if (bailed_shared_) {
         // Mid-block bail: the block did not retire — the stepping view
-        // is warm (bailOutOfBlockT) and the drain resumes via step().
+        // is warm (dispatchBlockT) and the drain resumes via step().
         return StopReason::kCycleLimit;
       }
     }
@@ -790,7 +703,7 @@ StopReason Iss::runChainedT(uint64_t time_limit, bool traces,
   return stop_;
 }
 
-StopReason Iss::run() { return runLoop(~static_cast<uint64_t>(0)); }
+StopReason Iss::run() { return runLoop(kNoTimeLimit); }
 
 StopReason Iss::runUntil(uint64_t time_limit) { return runLoop(time_limit); }
 
@@ -805,7 +718,9 @@ StopReason Iss::runLoop(uint64_t time_limit) {
         break;
       }
       // Quantum yields happen at the same boundaries as in the block
-      // engine, before the interrupt sample of the boundary.
+      // engines; step() then runs the rest of the boundary epoch. (The
+      // stepping engine yields before the lazy commit, the block engines
+      // after it: resumed runs are identical either way.)
       if (isLeader(pc_) && localTime() >= time_limit) {
         return StopReason::kCycleLimit;
       }
@@ -859,21 +774,11 @@ StopReason Iss::runLoopLookup(uint64_t time_limit) {
       stop_ = StopReason::kMaxInstructions;
       break;
     }
-    // A still-open block is committed lazily, exactly when the stepping
-    // engine would: at the first instruction of the next leader.
-    // (Deliberately the pre-chaining ordered-set probe, not the bitmap:
-    // this loop is the dispatch ablation's measured baseline.)
+    // Deliberately the pre-chaining ordered-set probe, not the bitmap:
+    // this loop is the dispatch ablation's measured baseline.
     const bool boundary = graph_.leaders().count(pc_) != 0;
-    if (boundary && in_block_) {
-      finishBlock();
-    }
-    if (boundary) {
-      observeBoundary();
-      if (localTime() >= time_limit) {
-        return StopReason::kCycleLimit;  // resumable: stop_ stays running
-      }
-      pollFaults();  // a pc redirect is caught by the lookup below
-      maybeTakeIrq();  // may redirect pc_ to the vector (also a leader)
+    if (boundary && !boundaryEpoch(time_limit)) {
+      return StopReason::kCycleLimit;  // resumable: stop_ stays running
     }
     core::ExecBlock* block = in_block_ ? nullptr : blockCache().lookup(pc_);
     if (block != nullptr && !breakpoints_.empty() &&
@@ -895,18 +800,8 @@ StopReason Iss::runLoopLookup(uint64_t time_limit) {
     if (stop_ == StopReason::kRunning && config_.model_timing &&
         graph_.leaders().count(pc_) == 0) {
       // Indirect transfer into the middle of a block: per-instruction
-      // semantics keep the current block open across the jump, so restore
-      // the stepping engine's view of it (warm issue schedule and line
-      // tracking) before falling back.
-      timer_.reset();
-      for (const Instr& instr : block->instrs()) {
-        timer_.issue(instr.timedOp());
-      }
-      live_pipe_ = timer_.cycles();
-      if (icacheOn()) {
-        have_line_ = true;
-        last_line_ = desc_.icache.lineOf(block->instrs().back().addr);
-      }
+      // semantics keep the current block open across the jump.
+      rewarmStepping(*block, block->instrs().size());
     }
   }
   return stop_;
@@ -1219,220 +1114,249 @@ void Iss::execute(const Instr& in) {
   }
 }
 
+// ---- instruction semantics -------------------------------------------
+//
+// Every TRC32 opcode's architectural effect is written once, in
+// Iss::semantics<O>. Two operand views feed it:
+//   * InstrView reads a trc::Instr as decoded (the interpreter): MOVH/
+//     MOVHA shift at run time, branch targets and outcome extras come
+//     from the instruction and the arch::BranchModel per execution;
+//   * OpView reads a core::ThreadedOp (the threaded handlers): the
+//     pre-shifted immediate, the precomputed target and fall-through/
+//     link address, and the outcome extras in x0/x1 — the same values,
+//     computed once at lowering (core/threaded.cpp).
+// The engines around it differ only in plumbing: the interpreter
+// advances the pc after every fall-through instruction, the threaded
+// handlers leave interior pcs unset (nothing observes them) and end the
+// segment on every instruction that sets the pc.
+
+/// Every opcode with semantics, in trc::Opc order. The interpreter's
+/// switch and the threaded handler table are both expanded from it; the
+/// static_assert below makes a new opcode without an entry a build error.
+#define CABT_ISS_OPCODES(X)                                               \
+  X(kAdd) X(kSub) X(kAnd) X(kOr) X(kXor) X(kShl) X(kShr) X(kSar) X(kMul)  \
+  X(kEq) X(kNe) X(kLt) X(kGe) X(kLtu) X(kGeu) X(kAddi) X(kMovi) X(kMovh)  \
+  X(kMova) X(kMovd) X(kLea) X(kMovha) X(kAdda) X(kSuba) X(kLdw) X(kLdh)   \
+  X(kLdhu) X(kLdb) X(kLdbu) X(kLda) X(kStw) X(kSth) X(kStb) X(kSta)       \
+  X(kJ) X(kJl) X(kJi) X(kJeq) X(kJne) X(kJlt) X(kJge) X(kJltu) X(kJgeu)   \
+  X(kNop) X(kHalt) X(kBkpt) X(kNop16) X(kMov16) X(kAdd16) X(kSub16)       \
+  X(kMovi16) X(kAddi16) X(kJnz16) X(kJz16) X(kJ16) X(kRet16)
+
+#define CABT_ISS_COUNT(O) +1
+static_assert(0 CABT_ISS_OPCODES(CABT_ISS_COUNT) ==
+                  static_cast<int>(Opc::kOpcCount) - 1,
+              "every TRC32 opcode needs an entry in CABT_ISS_OPCODES");
+#undef CABT_ISS_COUNT
+
+namespace {
+
+struct InstrView {
+  const Instr& in;
+  const arch::BranchModel& bm;
+
+  [[nodiscard]] uint8_t rd() const { return in.rd; }
+  [[nodiscard]] uint8_t ra() const { return in.ra; }
+  [[nodiscard]] uint8_t rb() const { return in.rb; }
+  [[nodiscard]] uint32_t imm() const { return static_cast<uint32_t>(in.imm); }
+  [[nodiscard]] uint32_t immHi() const { return imm() << 16; }
+  [[nodiscard]] uint32_t target() const { return in.branchTarget(); }
+  /// Fall-through, link and BKPT-continuation address.
+  [[nodiscard]] uint32_t next() const { return in.addr + in.size; }
+  /// Where HALT leaves the pc: on itself.
+  [[nodiscard]] uint32_t self() const { return in.addr; }
+  [[nodiscard]] bool predictedTaken() const {
+    return arch::BranchModel::predictsTaken(in.imm);
+  }
+  [[nodiscard]] unsigned condExtra(bool taken) const {
+    return bm.conditionalExtra(predictedTaken(), taken);
+  }
+  [[nodiscard]] unsigned uncondExtra() const {
+    return bm.unconditionalExtra(in.cls());
+  }
+};
+
+struct OpView {
+  const core::ThreadedOp* op;
+
+  [[nodiscard]] uint8_t rd() const { return op->rd; }
+  [[nodiscard]] uint8_t ra() const { return op->ra; }
+  [[nodiscard]] uint8_t rb() const { return op->rb; }
+  [[nodiscard]] uint32_t imm() const { return op->a; }
+  [[nodiscard]] uint32_t immHi() const { return op->a; }  // pre-shifted
+  [[nodiscard]] uint32_t target() const { return op->b; }
+  [[nodiscard]] uint32_t next() const { return op->a; }
+  [[nodiscard]] uint32_t self() const { return op->a; }
+  [[nodiscard]] bool predictedTaken() const {
+    return (op->flags & core::ThreadedOp::kPredictedTaken) != 0;
+  }
+  [[nodiscard]] unsigned condExtra(bool taken) const {
+    return taken ? op->x0 : op->x1;
+  }
+  [[nodiscard]] unsigned uncondExtra() const { return op->x0; }
+};
+
+}  // namespace
+
+template <bool BranchX, class View>
+inline bool Iss::condBranch(const View& v, bool taken) {
+  ++stats_.cond_branches;
+  const bool predicted = v.predictedTaken();
+  if (taken) {
+    ++stats_.cond_taken;
+  }
+  if (predicted != taken) {
+    ++stats_.mispredicts;
+  }
+  if constexpr (BranchX) {
+    chargeBranchExtra(v.condExtra(taken));
+  }
+  pc_ = taken ? v.target() : v.next();
+  return true;
+}
+
+template <Opc O, bool BranchX, class View>
+[[gnu::always_inline]] inline bool Iss::semantics(const View& v) {
+  const auto sd = [](uint32_t x) { return static_cast<int32_t>(x); };
+  if constexpr (O == Opc::kAdd) {
+    d_[v.rd()] = d_[v.ra()] + d_[v.rb()];
+  } else if constexpr (O == Opc::kSub) {
+    d_[v.rd()] = d_[v.ra()] - d_[v.rb()];
+  } else if constexpr (O == Opc::kAnd) {
+    d_[v.rd()] = d_[v.ra()] & d_[v.rb()];
+  } else if constexpr (O == Opc::kOr) {
+    d_[v.rd()] = d_[v.ra()] | d_[v.rb()];
+  } else if constexpr (O == Opc::kXor) {
+    d_[v.rd()] = d_[v.ra()] ^ d_[v.rb()];
+  } else if constexpr (O == Opc::kShl) {
+    d_[v.rd()] = d_[v.ra()] << (d_[v.rb()] & 31);
+  } else if constexpr (O == Opc::kShr) {
+    d_[v.rd()] = d_[v.ra()] >> (d_[v.rb()] & 31);
+  } else if constexpr (O == Opc::kSar) {
+    d_[v.rd()] = static_cast<uint32_t>(sd(d_[v.ra()]) >> (d_[v.rb()] & 31));
+  } else if constexpr (O == Opc::kMul) {
+    d_[v.rd()] = d_[v.ra()] * d_[v.rb()];
+  } else if constexpr (O == Opc::kEq) {
+    d_[v.rd()] = d_[v.ra()] == d_[v.rb()] ? 1 : 0;
+  } else if constexpr (O == Opc::kNe) {
+    d_[v.rd()] = d_[v.ra()] != d_[v.rb()] ? 1 : 0;
+  } else if constexpr (O == Opc::kLt) {
+    d_[v.rd()] = sd(d_[v.ra()]) < sd(d_[v.rb()]) ? 1 : 0;
+  } else if constexpr (O == Opc::kGe) {
+    d_[v.rd()] = sd(d_[v.ra()]) >= sd(d_[v.rb()]) ? 1 : 0;
+  } else if constexpr (O == Opc::kLtu) {
+    d_[v.rd()] = d_[v.ra()] < d_[v.rb()] ? 1 : 0;
+  } else if constexpr (O == Opc::kGeu) {
+    d_[v.rd()] = d_[v.ra()] >= d_[v.rb()] ? 1 : 0;
+  } else if constexpr (O == Opc::kAddi) {
+    d_[v.rd()] = d_[v.ra()] + v.imm();
+  } else if constexpr (O == Opc::kMovi || O == Opc::kMovi16) {
+    d_[v.rd()] = v.imm();
+  } else if constexpr (O == Opc::kMovh) {
+    d_[v.rd()] = v.immHi();
+  } else if constexpr (O == Opc::kMova) {
+    a_[v.rd()] = d_[v.ra()];
+  } else if constexpr (O == Opc::kMovd) {
+    d_[v.rd()] = a_[v.ra()];
+  } else if constexpr (O == Opc::kLea) {
+    a_[v.rd()] = a_[v.ra()] + v.imm();
+  } else if constexpr (O == Opc::kMovha) {
+    a_[v.rd()] = v.immHi();
+  } else if constexpr (O == Opc::kAdda) {
+    a_[v.rd()] = a_[v.ra()] + a_[v.rb()];
+  } else if constexpr (O == Opc::kSuba) {
+    a_[v.rd()] = a_[v.ra()] - a_[v.rb()];
+  } else if constexpr (O == Opc::kLdw) {
+    d_[v.rd()] = loadMem(a_[v.ra()] + v.imm(), 4, false);
+  } else if constexpr (O == Opc::kLdh) {
+    d_[v.rd()] = loadMem(a_[v.ra()] + v.imm(), 2, true);
+  } else if constexpr (O == Opc::kLdhu) {
+    d_[v.rd()] = loadMem(a_[v.ra()] + v.imm(), 2, false);
+  } else if constexpr (O == Opc::kLdb) {
+    d_[v.rd()] = loadMem(a_[v.ra()] + v.imm(), 1, true);
+  } else if constexpr (O == Opc::kLdbu) {
+    d_[v.rd()] = loadMem(a_[v.ra()] + v.imm(), 1, false);
+  } else if constexpr (O == Opc::kLda) {
+    a_[v.rd()] = loadMem(a_[v.ra()] + v.imm(), 4, false);
+  } else if constexpr (O == Opc::kStw) {
+    storeMem(a_[v.ra()] + v.imm(), d_[v.rd()], 4);
+  } else if constexpr (O == Opc::kSth) {
+    storeMem(a_[v.ra()] + v.imm(), d_[v.rd()], 2);
+  } else if constexpr (O == Opc::kStb) {
+    storeMem(a_[v.ra()] + v.imm(), d_[v.rd()], 1);
+  } else if constexpr (O == Opc::kSta) {
+    storeMem(a_[v.ra()] + v.imm(), a_[v.rd()], 4);
+  } else if constexpr (O == Opc::kJ || O == Opc::kJ16 || O == Opc::kJl ||
+                       O == Opc::kJi || O == Opc::kRet16) {
+    if constexpr (BranchX) {
+      chargeBranchExtra(v.uncondExtra());
+    }
+    if constexpr (O == Opc::kJi) {
+      pc_ = a_[v.ra()];
+    } else if constexpr (O == Opc::kRet16) {
+      pc_ = a_[trc::kLinkRegister];
+    } else {
+      if constexpr (O == Opc::kJl) {
+        a_[trc::kLinkRegister] = v.next();
+      }
+      pc_ = v.target();
+    }
+    return true;
+  } else if constexpr (O == Opc::kJeq) {
+    return condBranch<BranchX>(v, d_[v.ra()] == d_[v.rb()]);
+  } else if constexpr (O == Opc::kJne) {
+    return condBranch<BranchX>(v, d_[v.ra()] != d_[v.rb()]);
+  } else if constexpr (O == Opc::kJlt) {
+    return condBranch<BranchX>(v, sd(d_[v.ra()]) < sd(d_[v.rb()]));
+  } else if constexpr (O == Opc::kJge) {
+    return condBranch<BranchX>(v, sd(d_[v.ra()]) >= sd(d_[v.rb()]));
+  } else if constexpr (O == Opc::kJltu) {
+    return condBranch<BranchX>(v, d_[v.ra()] < d_[v.rb()]);
+  } else if constexpr (O == Opc::kJgeu) {
+    return condBranch<BranchX>(v, d_[v.ra()] >= d_[v.rb()]);
+  } else if constexpr (O == Opc::kJnz16) {
+    return condBranch<BranchX>(v, d_[v.rd()] != 0);
+  } else if constexpr (O == Opc::kJz16) {
+    return condBranch<BranchX>(v, d_[v.rd()] == 0);
+  } else if constexpr (O == Opc::kHalt) {
+    stop_ = StopReason::kHalted;
+    pc_ = v.self();
+    return true;
+  } else if constexpr (O == Opc::kBkpt) {
+    stop_ = StopReason::kBreakpoint;
+    pc_ = v.next();
+    return true;
+  } else if constexpr (O == Opc::kMov16) {
+    d_[v.rd()] = d_[v.rb()];
+  } else if constexpr (O == Opc::kAdd16) {
+    d_[v.rd()] += d_[v.rb()];
+  } else if constexpr (O == Opc::kSub16) {
+    d_[v.rd()] -= d_[v.rb()];
+  } else if constexpr (O == Opc::kAddi16) {
+    d_[v.rd()] += v.imm();
+  } else {
+    static_assert(O == Opc::kNop || O == Opc::kNop16,
+                  "opcode without semantics");
+  }
+  return false;
+}
+
 template <bool BranchX>
 void Iss::executeT(const Instr& in) {
-  [[maybe_unused]] const arch::BranchModel& bm = desc_.branch;
-  uint32_t next_pc = pc_ + in.size;
-
-  const auto condBranch = [&](bool taken) {
-    ++stats_.cond_branches;
-    const bool predicted_taken = arch::BranchModel::predictsTaken(in.imm);
-    if (taken) {
-      ++stats_.cond_taken;
-      next_pc = in.branchTarget();
-    }
-    if (predicted_taken != taken) {
-      ++stats_.mispredicts;
-    }
-    if constexpr (BranchX) {
-      const unsigned extra = bm.conditionalExtra(predicted_taken, taken);
-      committed_cycles_ += extra;
-      stats_.branch_extra += extra;
-      current_block_.branch_extra += extra;
-    }
-  };
-  const auto uncondExtra = [&] {
-    if constexpr (BranchX) {
-      const unsigned extra = bm.unconditionalExtra(in.cls());
-      committed_cycles_ += extra;
-      stats_.branch_extra += extra;
-      current_block_.branch_extra += extra;
-    }
-  };
-
+  const InstrView v{in, desc_.branch};
+  bool transfer = false;
   switch (in.opc) {
-    case Opc::kAdd:
-      d_[in.rd] = d_[in.ra] + d_[in.rb];
-      break;
-    case Opc::kSub:
-      d_[in.rd] = d_[in.ra] - d_[in.rb];
-      break;
-    case Opc::kAnd:
-      d_[in.rd] = d_[in.ra] & d_[in.rb];
-      break;
-    case Opc::kOr:
-      d_[in.rd] = d_[in.ra] | d_[in.rb];
-      break;
-    case Opc::kXor:
-      d_[in.rd] = d_[in.ra] ^ d_[in.rb];
-      break;
-    case Opc::kShl:
-      d_[in.rd] = d_[in.ra] << (d_[in.rb] & 31);
-      break;
-    case Opc::kShr:
-      d_[in.rd] = d_[in.ra] >> (d_[in.rb] & 31);
-      break;
-    case Opc::kSar:
-      d_[in.rd] = static_cast<uint32_t>(static_cast<int32_t>(d_[in.ra]) >>
-                                        (d_[in.rb] & 31));
-      break;
-    case Opc::kMul:
-      d_[in.rd] = d_[in.ra] * d_[in.rb];
-      break;
-    case Opc::kEq:
-      d_[in.rd] = d_[in.ra] == d_[in.rb] ? 1 : 0;
-      break;
-    case Opc::kNe:
-      d_[in.rd] = d_[in.ra] != d_[in.rb] ? 1 : 0;
-      break;
-    case Opc::kLt:
-      d_[in.rd] = static_cast<int32_t>(d_[in.ra]) <
-                          static_cast<int32_t>(d_[in.rb])
-                      ? 1
-                      : 0;
-      break;
-    case Opc::kGe:
-      d_[in.rd] = static_cast<int32_t>(d_[in.ra]) >=
-                          static_cast<int32_t>(d_[in.rb])
-                      ? 1
-                      : 0;
-      break;
-    case Opc::kLtu:
-      d_[in.rd] = d_[in.ra] < d_[in.rb] ? 1 : 0;
-      break;
-    case Opc::kGeu:
-      d_[in.rd] = d_[in.ra] >= d_[in.rb] ? 1 : 0;
-      break;
-    case Opc::kAddi:
-      d_[in.rd] = d_[in.ra] + static_cast<uint32_t>(in.imm);
-      break;
-    case Opc::kMovi:
-      d_[in.rd] = static_cast<uint32_t>(in.imm);
-      break;
-    case Opc::kMovh:
-      d_[in.rd] = static_cast<uint32_t>(in.imm) << 16;
-      break;
-    case Opc::kMova:
-      a_[in.rd] = d_[in.ra];
-      break;
-    case Opc::kMovd:
-      d_[in.rd] = a_[in.ra];
-      break;
-    case Opc::kLea:
-      a_[in.rd] = a_[in.ra] + static_cast<uint32_t>(in.imm);
-      break;
-    case Opc::kMovha:
-      a_[in.rd] = static_cast<uint32_t>(in.imm) << 16;
-      break;
-    case Opc::kAdda:
-      a_[in.rd] = a_[in.ra] + a_[in.rb];
-      break;
-    case Opc::kSuba:
-      a_[in.rd] = a_[in.ra] - a_[in.rb];
-      break;
-    case Opc::kLdw:
-      d_[in.rd] = loadMem(a_[in.ra] + static_cast<uint32_t>(in.imm), 4, false);
-      break;
-    case Opc::kLdh:
-      d_[in.rd] = loadMem(a_[in.ra] + static_cast<uint32_t>(in.imm), 2, true);
-      break;
-    case Opc::kLdhu:
-      d_[in.rd] = loadMem(a_[in.ra] + static_cast<uint32_t>(in.imm), 2, false);
-      break;
-    case Opc::kLdb:
-      d_[in.rd] = loadMem(a_[in.ra] + static_cast<uint32_t>(in.imm), 1, true);
-      break;
-    case Opc::kLdbu:
-      d_[in.rd] = loadMem(a_[in.ra] + static_cast<uint32_t>(in.imm), 1, false);
-      break;
-    case Opc::kLda:
-      a_[in.rd] = loadMem(a_[in.ra] + static_cast<uint32_t>(in.imm), 4, false);
-      break;
-    case Opc::kStw:
-      storeMem(a_[in.ra] + static_cast<uint32_t>(in.imm), d_[in.rd], 4);
-      break;
-    case Opc::kSth:
-      storeMem(a_[in.ra] + static_cast<uint32_t>(in.imm), d_[in.rd], 2);
-      break;
-    case Opc::kStb:
-      storeMem(a_[in.ra] + static_cast<uint32_t>(in.imm), d_[in.rd], 1);
-      break;
-    case Opc::kSta:
-      storeMem(a_[in.ra] + static_cast<uint32_t>(in.imm), a_[in.rd], 4);
-      break;
-    case Opc::kJ:
-    case Opc::kJ16:
-      next_pc = in.branchTarget();
-      uncondExtra();
-      break;
-    case Opc::kJl:
-      a_[trc::kLinkRegister] = pc_ + in.size;
-      next_pc = in.branchTarget();
-      uncondExtra();
-      break;
-    case Opc::kJi:
-      next_pc = a_[in.ra];
-      uncondExtra();
-      break;
-    case Opc::kRet16:
-      next_pc = a_[trc::kLinkRegister];
-      uncondExtra();
-      break;
-    case Opc::kJeq:
-      condBranch(d_[in.ra] == d_[in.rb]);
-      break;
-    case Opc::kJne:
-      condBranch(d_[in.ra] != d_[in.rb]);
-      break;
-    case Opc::kJlt:
-      condBranch(static_cast<int32_t>(d_[in.ra]) <
-                 static_cast<int32_t>(d_[in.rb]));
-      break;
-    case Opc::kJge:
-      condBranch(static_cast<int32_t>(d_[in.ra]) >=
-                 static_cast<int32_t>(d_[in.rb]));
-      break;
-    case Opc::kJltu:
-      condBranch(d_[in.ra] < d_[in.rb]);
-      break;
-    case Opc::kJgeu:
-      condBranch(d_[in.ra] >= d_[in.rb]);
-      break;
-    case Opc::kJnz16:
-      condBranch(d_[in.rd] != 0);
-      break;
-    case Opc::kJz16:
-      condBranch(d_[in.rd] == 0);
-      break;
-    case Opc::kNop:
-    case Opc::kNop16:
-      break;
-    case Opc::kHalt:
-      stop_ = StopReason::kHalted;
-      return;  // PC stays at the HALT instruction
-    case Opc::kBkpt:
-      stop_ = StopReason::kBreakpoint;
-      pc_ += in.size;
-      return;
-    case Opc::kMov16:
-      d_[in.rd] = d_[in.rb];
-      break;
-    case Opc::kAdd16:
-      d_[in.rd] += d_[in.rb];
-      break;
-    case Opc::kSub16:
-      d_[in.rd] -= d_[in.rb];
-      break;
-    case Opc::kMovi16:
-      d_[in.rd] = static_cast<uint32_t>(in.imm);
-      break;
-    case Opc::kAddi16:
-      d_[in.rd] += static_cast<uint32_t>(in.imm);
-      break;
+#define CABT_ISS_INTERPRET(O)                 \
+  case Opc::O:                                \
+    transfer = semantics<Opc::O, BranchX>(v); \
+    break;
+    CABT_ISS_OPCODES(CABT_ISS_INTERPRET)
+#undef CABT_ISS_INTERPRET
     default:
       CABT_FAIL("unhandled opcode in ISS: " << in.info().mnemonic);
   }
-  pc_ = next_pc;
+  if (!transfer) {
+    pc_ = v.next();
+  }
 }
 
 // ---- threaded-code backend (DispatchMode::kThreaded) -----------------
@@ -1440,21 +1364,20 @@ void Iss::executeT(const Instr& in) {
 // One specialized host handler per opcode, in (Timing, BranchX) handler
 // sets mirroring the runChainedT specialization ladder, with the icache
 // line-group touch baked in per op at lowering (`Touch`: the block
-// cache's new_line decision, so no runtime test survives). Each handler
-// performs exactly the per-instruction sequence of dispatchBlockT —
-// line-group touch, live pipeline cost, the instruction's semantics,
-// retirement count — against fully predecoded operands, then returns the
-// next record; control transfers, HALT/BKPT and the fall-through
-// terminator return nullptr, which both ends the dispatch loop (no
-// per-op stop-flag poll) and marks the original block boundary where the
-// dispatcher applies every correction. Mid-block observables are
-// preserved exactly: memory handlers see live_pipe_ already at this
-// op's cumulative cost (the bus clock advances to localTime() on device
-// access), the retirement count increments after the access (functional
-// mode clocks the bus by instruction count), icache penalties and
-// branch extras go to committed_cycles_ as they accrue, and interior
-// ops do not touch the pc (nothing observes it between boundaries; the
-// segment-ending op re-establishes it).
+// cache's new_line decision, so no runtime test survives). A handler is
+// plumbing around semantics<O>: the per-instruction prologue of
+// interpretT (line-group touch, live pipeline cost), the semantics over
+// the op's predecoded operands, the retirement count; it returns the
+// next record, or nullptr when the instruction set the pc (control
+// transfer, HALT/BKPT) — which both ends the dispatch loop (no per-op
+// stop-flag poll) and marks the original block boundary where the
+// dispatcher applies every correction. The fall-through terminator
+// returns nullptr too. Mid-block observables are preserved exactly:
+// memory handlers see live_pipe_ already at this op's cumulative cost
+// (the bus clock advances to localTime() on device access), the
+// retirement count increments after the access (functional mode clocks
+// the bus by instruction count), and icache penalties and branch extras
+// go to committed_cycles_ as they accrue.
 
 template <bool Timing, bool BranchX>
 struct ThreadedHandlers {
@@ -1462,191 +1385,18 @@ struct ThreadedHandlers {
 
   static Iss& cpu(void* p) { return *static_cast<Iss*>(p); }
 
-  /// Per-op prologue in dispatchBlockT's order: the baked-in line-group
-  /// touch, then the open block's live pipeline cost.
-  template <bool Touch>
-  static void prologue(Iss& c, const Op* op) {
+  template <Opc O, bool Touch>
+  static const Op* exec(void* p, const Op* op) {
+    Iss& c = cpu(p);
     if constexpr (Touch) {
       c.icacheAccessTagged(op->line_set, op->line_tag);
     }
     if constexpr (Timing) {
       c.live_pipe_ = op->cum;
     }
-  }
-
-  /// Conditional-branch epilogue: outcome counters always, the
-  /// precomputed outcome extra only under BranchX; ends the segment.
-  static const Op* condBranch(Iss& c, const Op* op, bool taken) {
-    ++c.stats_.cond_branches;
-    const bool predicted = (op->flags & Op::kPredictedTaken) != 0;
-    if (taken) {
-      ++c.stats_.cond_taken;
-      c.pc_ = op->b;
-    } else {
-      c.pc_ = op->a;
-    }
-    if (predicted != taken) {
-      ++c.stats_.mispredicts;
-    }
-    if constexpr (BranchX) {
-      const unsigned extra = taken ? op->x0 : op->x1;
-      c.committed_cycles_ += extra;
-      c.stats_.branch_extra += extra;
-      c.current_block_.branch_extra += extra;
-    }
+    const bool transfer = c.semantics<O, BranchX>(OpView{op});
     ++c.stats_.instructions;
-    return nullptr;
-  }
-
-  /// Static extra of an unconditional transfer (precomputed into x0).
-  static void uncondExtra(Iss& c, const Op* op) {
-    if constexpr (BranchX) {
-      c.committed_cycles_ += op->x0;
-      c.stats_.branch_extra += op->x0;
-      c.current_block_.branch_extra += op->x0;
-    }
-  }
-
-  template <Opc O, bool Touch>
-  static const Op* exec(void* p, const Op* op) {
-    Iss& c = cpu(p);
-    prologue<Touch>(c, op);
-    if constexpr (O == Opc::kAdd) {
-      c.d_[op->rd] = c.d_[op->ra] + c.d_[op->rb];
-    } else if constexpr (O == Opc::kSub) {
-      c.d_[op->rd] = c.d_[op->ra] - c.d_[op->rb];
-    } else if constexpr (O == Opc::kAnd) {
-      c.d_[op->rd] = c.d_[op->ra] & c.d_[op->rb];
-    } else if constexpr (O == Opc::kOr) {
-      c.d_[op->rd] = c.d_[op->ra] | c.d_[op->rb];
-    } else if constexpr (O == Opc::kXor) {
-      c.d_[op->rd] = c.d_[op->ra] ^ c.d_[op->rb];
-    } else if constexpr (O == Opc::kShl) {
-      c.d_[op->rd] = c.d_[op->ra] << (c.d_[op->rb] & 31);
-    } else if constexpr (O == Opc::kShr) {
-      c.d_[op->rd] = c.d_[op->ra] >> (c.d_[op->rb] & 31);
-    } else if constexpr (O == Opc::kSar) {
-      c.d_[op->rd] = static_cast<uint32_t>(
-          static_cast<int32_t>(c.d_[op->ra]) >> (c.d_[op->rb] & 31));
-    } else if constexpr (O == Opc::kMul) {
-      c.d_[op->rd] = c.d_[op->ra] * c.d_[op->rb];
-    } else if constexpr (O == Opc::kEq) {
-      c.d_[op->rd] = c.d_[op->ra] == c.d_[op->rb] ? 1 : 0;
-    } else if constexpr (O == Opc::kNe) {
-      c.d_[op->rd] = c.d_[op->ra] != c.d_[op->rb] ? 1 : 0;
-    } else if constexpr (O == Opc::kLt) {
-      c.d_[op->rd] = static_cast<int32_t>(c.d_[op->ra]) <
-                             static_cast<int32_t>(c.d_[op->rb])
-                         ? 1
-                         : 0;
-    } else if constexpr (O == Opc::kGe) {
-      c.d_[op->rd] = static_cast<int32_t>(c.d_[op->ra]) >=
-                             static_cast<int32_t>(c.d_[op->rb])
-                         ? 1
-                         : 0;
-    } else if constexpr (O == Opc::kLtu) {
-      c.d_[op->rd] = c.d_[op->ra] < c.d_[op->rb] ? 1 : 0;
-    } else if constexpr (O == Opc::kGeu) {
-      c.d_[op->rd] = c.d_[op->ra] >= c.d_[op->rb] ? 1 : 0;
-    } else if constexpr (O == Opc::kAddi) {
-      c.d_[op->rd] = c.d_[op->ra] + op->a;
-    } else if constexpr (O == Opc::kMovi || O == Opc::kMovh ||
-                         O == Opc::kMovi16) {
-      c.d_[op->rd] = op->a;  // kMovh pre-shifted at lowering
-    } else if constexpr (O == Opc::kMova) {
-      c.a_[op->rd] = c.d_[op->ra];
-    } else if constexpr (O == Opc::kMovd) {
-      c.d_[op->rd] = c.a_[op->ra];
-    } else if constexpr (O == Opc::kLea) {
-      c.a_[op->rd] = c.a_[op->ra] + op->a;
-    } else if constexpr (O == Opc::kMovha) {
-      c.a_[op->rd] = op->a;  // pre-shifted at lowering
-    } else if constexpr (O == Opc::kAdda) {
-      c.a_[op->rd] = c.a_[op->ra] + c.a_[op->rb];
-    } else if constexpr (O == Opc::kSuba) {
-      c.a_[op->rd] = c.a_[op->ra] - c.a_[op->rb];
-    } else if constexpr (O == Opc::kLdw) {
-      c.d_[op->rd] = c.loadMem(c.a_[op->ra] + op->a, 4, false);
-    } else if constexpr (O == Opc::kLdh) {
-      c.d_[op->rd] = c.loadMem(c.a_[op->ra] + op->a, 2, true);
-    } else if constexpr (O == Opc::kLdhu) {
-      c.d_[op->rd] = c.loadMem(c.a_[op->ra] + op->a, 2, false);
-    } else if constexpr (O == Opc::kLdb) {
-      c.d_[op->rd] = c.loadMem(c.a_[op->ra] + op->a, 1, true);
-    } else if constexpr (O == Opc::kLdbu) {
-      c.d_[op->rd] = c.loadMem(c.a_[op->ra] + op->a, 1, false);
-    } else if constexpr (O == Opc::kLda) {
-      c.a_[op->rd] = c.loadMem(c.a_[op->ra] + op->a, 4, false);
-    } else if constexpr (O == Opc::kStw) {
-      c.storeMem(c.a_[op->ra] + op->a, c.d_[op->rd], 4);
-    } else if constexpr (O == Opc::kSth) {
-      c.storeMem(c.a_[op->ra] + op->a, c.d_[op->rd], 2);
-    } else if constexpr (O == Opc::kStb) {
-      c.storeMem(c.a_[op->ra] + op->a, c.d_[op->rd], 1);
-    } else if constexpr (O == Opc::kSta) {
-      c.storeMem(c.a_[op->ra] + op->a, c.a_[op->rd], 4);
-    } else if constexpr (O == Opc::kJ || O == Opc::kJ16) {
-      uncondExtra(c, op);
-      c.pc_ = op->b;
-      ++c.stats_.instructions;
-      return nullptr;
-    } else if constexpr (O == Opc::kJl) {
-      c.a_[trc::kLinkRegister] = op->a;  // precomputed return address
-      uncondExtra(c, op);
-      c.pc_ = op->b;
-      ++c.stats_.instructions;
-      return nullptr;
-    } else if constexpr (O == Opc::kJi) {
-      uncondExtra(c, op);
-      c.pc_ = c.a_[op->ra];
-      ++c.stats_.instructions;
-      return nullptr;
-    } else if constexpr (O == Opc::kRet16) {
-      uncondExtra(c, op);
-      c.pc_ = c.a_[trc::kLinkRegister];
-      ++c.stats_.instructions;
-      return nullptr;
-    } else if constexpr (O == Opc::kJeq) {
-      return condBranch(c, op, c.d_[op->ra] == c.d_[op->rb]);
-    } else if constexpr (O == Opc::kJne) {
-      return condBranch(c, op, c.d_[op->ra] != c.d_[op->rb]);
-    } else if constexpr (O == Opc::kJlt) {
-      return condBranch(c, op, static_cast<int32_t>(c.d_[op->ra]) <
-                                   static_cast<int32_t>(c.d_[op->rb]));
-    } else if constexpr (O == Opc::kJge) {
-      return condBranch(c, op, static_cast<int32_t>(c.d_[op->ra]) >=
-                                   static_cast<int32_t>(c.d_[op->rb]));
-    } else if constexpr (O == Opc::kJltu) {
-      return condBranch(c, op, c.d_[op->ra] < c.d_[op->rb]);
-    } else if constexpr (O == Opc::kJgeu) {
-      return condBranch(c, op, c.d_[op->ra] >= c.d_[op->rb]);
-    } else if constexpr (O == Opc::kJnz16) {
-      return condBranch(c, op, c.d_[op->rd] != 0);
-    } else if constexpr (O == Opc::kJz16) {
-      return condBranch(c, op, c.d_[op->rd] == 0);
-    } else if constexpr (O == Opc::kNop || O == Opc::kNop16) {
-      // no architectural effect
-    } else if constexpr (O == Opc::kHalt) {
-      c.stop_ = StopReason::kHalted;
-      c.pc_ = op->a;  // the pc rests on the HALT instruction
-      ++c.stats_.instructions;
-      return nullptr;
-    } else if constexpr (O == Opc::kBkpt) {
-      c.stop_ = StopReason::kBreakpoint;
-      c.pc_ = op->a;  // past the BKPT
-      ++c.stats_.instructions;
-      return nullptr;
-    } else if constexpr (O == Opc::kMov16) {
-      c.d_[op->rd] = c.d_[op->rb];
-    } else if constexpr (O == Opc::kAdd16) {
-      c.d_[op->rd] += c.d_[op->rb];
-    } else if constexpr (O == Opc::kSub16) {
-      c.d_[op->rd] -= c.d_[op->rb];
-    } else if constexpr (O == Opc::kAddi16) {
-      c.d_[op->rd] += op->a;
-    }
-    ++c.stats_.instructions;
-    return op + 1;
+    return transfer ? nullptr : op + 1;
   }
 
   /// Fall-through terminator of a leader-split segment: no control
@@ -1659,62 +1409,11 @@ struct ThreadedHandlers {
   template <bool Touch>
   static core::ThreadedFn selectT(Opc o) {
     switch (o) {
-      case Opc::kAdd: return &exec<Opc::kAdd, Touch>;
-      case Opc::kSub: return &exec<Opc::kSub, Touch>;
-      case Opc::kAnd: return &exec<Opc::kAnd, Touch>;
-      case Opc::kOr: return &exec<Opc::kOr, Touch>;
-      case Opc::kXor: return &exec<Opc::kXor, Touch>;
-      case Opc::kShl: return &exec<Opc::kShl, Touch>;
-      case Opc::kShr: return &exec<Opc::kShr, Touch>;
-      case Opc::kSar: return &exec<Opc::kSar, Touch>;
-      case Opc::kMul: return &exec<Opc::kMul, Touch>;
-      case Opc::kEq: return &exec<Opc::kEq, Touch>;
-      case Opc::kNe: return &exec<Opc::kNe, Touch>;
-      case Opc::kLt: return &exec<Opc::kLt, Touch>;
-      case Opc::kGe: return &exec<Opc::kGe, Touch>;
-      case Opc::kLtu: return &exec<Opc::kLtu, Touch>;
-      case Opc::kGeu: return &exec<Opc::kGeu, Touch>;
-      case Opc::kAddi: return &exec<Opc::kAddi, Touch>;
-      case Opc::kMovi: return &exec<Opc::kMovi, Touch>;
-      case Opc::kMovh: return &exec<Opc::kMovh, Touch>;
-      case Opc::kMova: return &exec<Opc::kMova, Touch>;
-      case Opc::kMovd: return &exec<Opc::kMovd, Touch>;
-      case Opc::kLea: return &exec<Opc::kLea, Touch>;
-      case Opc::kMovha: return &exec<Opc::kMovha, Touch>;
-      case Opc::kAdda: return &exec<Opc::kAdda, Touch>;
-      case Opc::kSuba: return &exec<Opc::kSuba, Touch>;
-      case Opc::kLdw: return &exec<Opc::kLdw, Touch>;
-      case Opc::kLdh: return &exec<Opc::kLdh, Touch>;
-      case Opc::kLdhu: return &exec<Opc::kLdhu, Touch>;
-      case Opc::kLdb: return &exec<Opc::kLdb, Touch>;
-      case Opc::kLdbu: return &exec<Opc::kLdbu, Touch>;
-      case Opc::kLda: return &exec<Opc::kLda, Touch>;
-      case Opc::kStw: return &exec<Opc::kStw, Touch>;
-      case Opc::kSth: return &exec<Opc::kSth, Touch>;
-      case Opc::kStb: return &exec<Opc::kStb, Touch>;
-      case Opc::kSta: return &exec<Opc::kSta, Touch>;
-      case Opc::kJ: return &exec<Opc::kJ, Touch>;
-      case Opc::kJ16: return &exec<Opc::kJ16, Touch>;
-      case Opc::kJl: return &exec<Opc::kJl, Touch>;
-      case Opc::kJi: return &exec<Opc::kJi, Touch>;
-      case Opc::kRet16: return &exec<Opc::kRet16, Touch>;
-      case Opc::kJeq: return &exec<Opc::kJeq, Touch>;
-      case Opc::kJne: return &exec<Opc::kJne, Touch>;
-      case Opc::kJlt: return &exec<Opc::kJlt, Touch>;
-      case Opc::kJge: return &exec<Opc::kJge, Touch>;
-      case Opc::kJltu: return &exec<Opc::kJltu, Touch>;
-      case Opc::kJgeu: return &exec<Opc::kJgeu, Touch>;
-      case Opc::kJnz16: return &exec<Opc::kJnz16, Touch>;
-      case Opc::kJz16: return &exec<Opc::kJz16, Touch>;
-      case Opc::kNop: return &exec<Opc::kNop, Touch>;
-      case Opc::kNop16: return &exec<Opc::kNop16, Touch>;
-      case Opc::kHalt: return &exec<Opc::kHalt, Touch>;
-      case Opc::kBkpt: return &exec<Opc::kBkpt, Touch>;
-      case Opc::kMov16: return &exec<Opc::kMov16, Touch>;
-      case Opc::kAdd16: return &exec<Opc::kAdd16, Touch>;
-      case Opc::kSub16: return &exec<Opc::kSub16, Touch>;
-      case Opc::kMovi16: return &exec<Opc::kMovi16, Touch>;
-      case Opc::kAddi16: return &exec<Opc::kAddi16, Touch>;
+#define CABT_ISS_HANDLER(O) \
+  case Opc::O:              \
+    return &exec<Opc::O, Touch>;
+      CABT_ISS_OPCODES(CABT_ISS_HANDLER)
+#undef CABT_ISS_HANDLER
       default:
         CABT_FAIL("unhandled opcode in threaded lowering: "
                   << static_cast<int>(o));
@@ -1725,6 +1424,8 @@ struct ThreadedHandlers {
     return touch ? selectT<true>(in.opc) : selectT<false>(in.opc);
   }
 };
+
+#undef CABT_ISS_OPCODES
 
 core::ThreadedBinder Iss::threadedBinder() const {
   core::ThreadedBinder binder;
@@ -1745,94 +1446,6 @@ core::ThreadedBinder Iss::threadedBinder() const {
     binder.icache_on = icacheOn();
   }
   return binder;
-}
-
-template <bool Timing>
-void Iss::dispatchThreadedBlockT(core::ExecBlock& block,
-                                 const core::ThreadedProgram& prog) {
-  ++block.exec_count;
-  ++stats_.cached_blocks;
-  ++stats_.threaded_dispatches;
-  if constexpr (Timing) {
-    current_block_ = BlockRecord{};
-    current_block_.addr = block.addr();
-    in_block_ = true;
-    ++stats_.blocks;
-  }
-  const core::ThreadedOp* op = prog.ops.data();
-  while (op != nullptr) {
-    op = op->fn(this, op);
-  }
-  if (stop_ == StopReason::kHalted) {
-    finishBlock();
-    syncBusClock();
-  }
-}
-
-template <bool Timing>
-int32_t Iss::dispatchThreadedTraceT(core::Trace& trace,
-                                    const core::ThreadedProgram& prog,
-                                    uint64_t time_limit, bool* epoch_done) {
-  // Admission (runChainedT) guaranteed the whole trace fits the
-  // instruction budget, exactly as for the interpreted trace engine.
-  ++trace.dispatches;
-  ++stats_.trace_dispatches;
-  ++stats_.threaded_dispatches;
-  std::vector<core::ExecBlock>& blocks = cache_->blocks();
-  const core::ThreadedOp* ops = prog.ops.data();
-  const core::ThreadedSegment* segs = prog.segs.data();
-  const size_t num_segs = prog.segs.size();
-  for (size_t s = 0;; ++s) {
-    const core::ThreadedSegment& seg = segs[s];
-    core::ExecBlock& block = blocks[static_cast<size_t>(seg.block)];
-    ++block.exec_count;
-    ++block.trace_execs;
-    ++stats_.cached_blocks;
-    ++stats_.trace_blocks;
-    if constexpr (Timing) {
-      current_block_ = BlockRecord{};
-      current_block_.addr = block.addr();
-      in_block_ = true;
-      ++stats_.blocks;
-    }
-    const core::ThreadedOp* op = ops + seg.first;
-    while (op != nullptr) {
-      op = op->fn(this, op);
-    }
-    if (stop_ != StopReason::kRunning) {
-      if (stop_ == StopReason::kHalted) {
-        finishBlock();
-        syncBusClock();
-      }
-      return -1;  // HALT or BKPT mid-block
-    }
-    if (s + 1 == num_segs) {
-      return afterBlock<Timing>(block);  // chain off the trace end
-    }
-    // Original block boundary inside the trace: the identical epoch
-    // sequence dispatchTraceT performs between two segments — lazy
-    // commit, quantum yield, interrupt sample, then the guard.
-    finishBlock();
-    observeBoundary();
-    if (localTime() >= time_limit) {
-      return kDispatchYield;  // resumable: pc_ rests on the next leader
-    }
-    pollFaults();  // a pc-redirecting fault fails the guard below
-    if (irq_ != nullptr) {
-      maybeTakeIrq();
-    }
-    if (pc_ != segs[s + 1].entry_addr) {
-      // Guard failure: this boundary's epoch has already run — the
-      // outer loop must not repeat it.
-      ++stats_.guard_bails;
-      if (trace_sink_ != nullptr) {
-        trace_sink_->instant(trace_lane_, "guard_bail", localTime(), "addr",
-                             block.addr());
-      }
-      *epoch_done = true;
-      return resolveNext(block);
-    }
-  }
 }
 
 }  // namespace cabt::iss

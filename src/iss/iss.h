@@ -8,23 +8,28 @@
 // prediction, and a set-associative instruction cache (see DESIGN.md for
 // the precise fetch rule).
 //
-// Two execution engines share identical semantics:
-//   * a block-dispatch engine (the default for run()) that executes whole
-//     predecoded blocks from a core::BlockCache. After a block retires,
-//     the next block is resolved through its precomputed successor edges
-//     (direct chaining — no hash lookup on the common path), hot blocks
-//     are spliced with their dominant successors into guarded superblock
-//     traces, and the inner loop is specialized by template on the
-//     timing/icache/branch-extra knobs so no per-instruction config test
-//     survives in the hot path (see DESIGN.md section 6); and
-//   * a per-instruction step() engine, used by single stepping, as the
-//     fallback for addresses that are not block leaders, and to stop
-//     exactly at the instruction limit.
+// The engines: run() dispatches predecoded blocks from a core::BlockCache
+// under one of four DispatchModes (address lookup, successor chaining,
+// superblock traces, threaded code — see DESIGN.md sections 6 and 10),
+// with the inner loops specialized by template on the timing/icache/
+// branch-extra knobs; step() executes one instruction at a time and serves
+// single stepping, the fallback for addresses that are not block leaders,
+// the exact stop at the instruction limit, and the oracle every block
+// engine is tested against. Whatever the engine, each decision is written
+// once:
+//   * an opcode's architectural effect is one semantics template
+//     (Iss::semantics), instantiated by the interpreter's switch over
+//     trc::Instr operands and by the threaded handlers over the
+//     predecoded core::ThreadedOp operands; and
+//   * the block-boundary epoch — lazy commit, observers, quantum yield,
+//     fault poll, interrupt sample — is one member, boundaryEpoch(),
+//     called by step(), every dispatch loop and the one trace walker.
 // Block boundaries come from the same core::BlockGraph the translator
 // consumes, so the reference and the translated image can never disagree
-// about block structure. The two engines are bit-identical in both
-// architectural state and every IssStats counter (checked by
-// tests/random_program_test.cpp).
+// about block structure. The engines are bit-identical in both
+// architectural state and every architectural IssStats counter (checked
+// by tests/random_program_test.cpp and by the every-opcode differential
+// in tests/dispatch_test.cpp).
 //
 // Interrupts (soc::IrqSource, attached via attachIrq) are sampled at
 // basic-block boundaries only, and debug breakpoints force the block
@@ -62,6 +67,11 @@
 #include "trc/isa.h"
 
 namespace cabt::iss {
+
+/// Total ThreadedOp records one core may lower (DispatchMode::kThreaded).
+/// Exhaustion declines further lowerings permanently: hot code lowers
+/// first, cold tails stay on the chained engine.
+constexpr uint32_t kThreadedBudgetOps = 1u << 16;
 
 /// A14 receives the return address on interrupt entry (the handler
 /// returns with `ji a14` after signalling end-of-interrupt); programs
@@ -163,20 +173,14 @@ struct IssConfig {
   /// testing and the dispatch ablation.
   DispatchMode dispatch_mode = DispatchMode::kChainedTraces;
   /// A block heads a superblock trace once dispatched this many times
-  /// (kChainedTraces only).
+  /// (kChainedTraces only). The formation limits are fixed: see
+  /// core::TraceOptions.
   uint32_t trace_threshold = 64;
-  /// Trace formation limits (blocks spliced per trace; a revisited
-  /// block unrolls a hot loop into the trace).
-  uint32_t trace_max_blocks = 8;
-  uint32_t trace_max_instrs = 256;
   /// A block is lowered into a threaded-code program once dispatched
   /// this many times (kThreaded only); formed traces are lowered on
-  /// their next dispatch (they are already past trace_threshold).
+  /// their next dispatch (they are already past trace_threshold). The
+  /// per-core op budget is fixed: see kThreadedBudgetOps.
   uint32_t threaded_threshold = 16;
-  /// Total ThreadedOp records the per-core lowering budget allows.
-  /// Exhaustion declines further lowerings permanently: hot code lowers
-  /// first, cold tails stay on the chained engine.
-  uint32_t threaded_budget_ops = 1u << 16;
   uint64_t max_instructions = 500'000'000;
   /// Cycles charged when an interrupt is accepted (pipeline flush + the
   /// vector fetch), at the block boundary where it is taken.
@@ -402,24 +406,93 @@ class Iss {
   template <bool Timing, bool BranchX>
   friend struct ThreadedHandlers;
 
-  /// dispatchTraceT() result meaning "yield with kCycleLimit now";
+  /// walkTrace() result meaning "yield with kCycleLimit now";
   /// non-negative results chain into the next block, -1 falls back to
   /// lookup/stepping.
   static constexpr int32_t kDispatchYield = -3;
+  /// Time limit of run() and step(): never reached.
+  static constexpr uint64_t kNoTimeLimit = ~static_cast<uint64_t>(0);
 
   const trc::Instr& fetch(uint32_t addr) const;
   void commitBlock();
   void finishBlock();
+  /// Opens the timing record of a block starting at `addr`.
+  void openBlock(uint32_t addr) {
+    current_block_ = BlockRecord{};
+    current_block_.addr = addr;
+    in_block_ = true;
+    ++stats_.blocks;
+  }
+  /// Block-entry bookkeeping of every cached dispatch (plain, trace
+  /// segment, threaded): hot counts, plus the timing record when timed.
+  void enterBlock(core::ExecBlock& block, bool timing) {
+    ++block.exec_count;
+    ++stats_.cached_blocks;
+    if (timing) {
+      openBlock(block.addr());
+    }
+  }
+  /// The halt tail: HALT retires the open block and brings the bus clock
+  /// to the final local time.
+  void finishIfHalted() {
+    if (stop_ == StopReason::kHalted) {
+      finishBlock();
+      syncBusClock();
+    }
+  }
+  /// The block-boundary epoch, the one place its order is written down:
+  /// lazy commit of the open block, the observers, the quantum-yield
+  /// check, the fault poll, the interrupt sample. Returns false — pc_ on
+  /// the leader, nothing after the observers done — when localTime()
+  /// reached `time_limit`: the engine yields with kCycleLimit and runs
+  /// the epoch again on resume, where the idempotent observers record
+  /// nothing twice. Faults therefore land only at an epoch that does not
+  /// yield (DESIGN.md section 12.2), and interrupts are accepted at the
+  /// identical cycle count in every engine (section 5.2). Either may
+  /// redirect pc_; callers holding a chained block re-check it.
+  bool boundaryEpoch(uint64_t time_limit) {
+    if (in_block_) {
+      finishBlock();
+    }
+    observeBoundary();
+    if (localTime() >= time_limit) {
+      return false;
+    }
+    pollFaults();
+    if (irq_ != nullptr) {
+      maybeTakeIrq();
+    }
+    return true;
+  }
   void dispatchBlock(core::ExecBlock& block);
   uint32_t loadMem(uint32_t addr, unsigned size, bool sign);
   void storeMem(uint32_t addr, uint32_t value, unsigned size);
   void syncBusClock();
   [[nodiscard]] uint64_t currentCycle() const;
   void execute(const trc::Instr& instr);
-  /// The execute switch with the branch-extra config test resolved at
-  /// compile time (BranchX = model_timing && model_branch_extras).
+  /// The interpreter: a switch over the opcode into semantics<>, with
+  /// the branch-extra config test resolved at compile time (BranchX =
+  /// model_timing && model_branch_extras).
   template <bool BranchX>
   void executeT(const trc::Instr& instr);
+  /// The architectural effect of opcode O, written once for every
+  /// engine. `View` supplies the operands: decoded at run time from a
+  /// trc::Instr (the interpreter) or precomputed at lowering in a
+  /// core::ThreadedOp (the threaded handlers). Returns true when the
+  /// instruction set pc_ itself (control transfer, HALT, BKPT); on false
+  /// the caller owns the fall-through.
+  template <trc::Opc O, bool BranchX, class View>
+  bool semantics(const View& v);
+  /// Conditional-branch outcome: counters, prediction check, the
+  /// outcome extra (BranchX only) and the new pc.
+  template <bool BranchX, class View>
+  bool condBranch(const View& v, bool taken);
+  /// Charges branch-outcome extra cycles to the open block.
+  void chargeBranchExtra(unsigned extra) {
+    committed_cycles_ += extra;
+    stats_.branch_extra += extra;
+    current_block_.branch_extra += extra;
+  }
   /// One icache line-group touch: access + miss accounting. The tagged
   /// form takes the set/tag the block cache precomputed per line group.
   void icacheAccess(uint32_t addr);
@@ -450,40 +523,43 @@ class Iss {
   /// template parameters.
   template <bool Timing, bool ICache, bool BranchX, bool Bail = false>
   void dispatchBlockT(core::ExecBlock& block);
+  /// Interprets instructions [first, first + n) of a block's or trace's
+  /// predecoded arrays: line-group touch, live pipeline cost, semantics,
+  /// retirement; stops after HALT/BKPT. Under Bail, stops *before* an
+  /// interior instruction that would touch the SoC bus, sets
+  /// bailed_shared_ and returns its offset.
+  template <bool Timing, bool ICache, bool BranchX, bool Bail>
+  uint32_t interpretT(const core::Predecoded& code, uint32_t first,
+                      uint32_t n);
+  /// Runs segment `s` of a lowered program: back-to-back handler
+  /// dispatches up to the record that ends the segment.
+  void runThreaded(const core::ThreadedProgram& prog, size_t s) {
+    const core::ThreadedOp* op = prog.ops.data() + prog.segs[s].first;
+    while (op != nullptr) {
+      op = op->fn(this, op);
+    }
+  }
   /// True when executing `in` right now would touch the SoC bus (its
   /// effective address — computable without side effects for every TRC32
   /// memory instruction — lands on a device window).
   [[nodiscard]] bool touchesShared(const trc::Instr& in) const;
-  /// Stops a private slice just before instruction `i` of a block being
-  /// fast-dispatched: restores the stepping engine's warm view of the
-  /// half-executed block (issue schedule of instructions [0, i), line
-  /// tracking at instruction i-1) so the sequential drain resumes
-  /// bit-exactly via the per-instruction fallback.
-  template <bool Timing, bool ICache>
-  void bailOutOfBlockT(core::ExecBlock& block, size_t i);
-  /// Executes a superblock; applies every correction at the original
-  /// block boundaries and bails on guard failure. Returns the chained
-  /// next-block index, -1 (resolve via lookup/stepping) or
-  /// kDispatchYield (quantum expired at an internal boundary). Sets
-  /// *epoch_done when it bailed *after* running a boundary's commit/
-  /// yield/interrupt epoch, so the caller runs each epoch exactly once.
-  template <bool Timing, bool ICache, bool BranchX>
-  int32_t dispatchTraceT(core::Trace& trace, uint64_t time_limit,
-                         bool* epoch_done);
-  /// Executes a lowered block via back-to-back handler dispatches; the
-  /// timing/icache/branch-extra decisions are baked into the handlers,
-  /// so only the block-entry bookkeeping is templated.
-  template <bool Timing>
-  void dispatchThreadedBlockT(core::ExecBlock& block,
-                              const core::ThreadedProgram& prog);
-  /// dispatchTraceT over a lowered trace: runs each segment's handler
-  /// chain, with the identical boundary epoch (commit, yield, interrupt
-  /// sample, guard) between segments. Same return protocol as
-  /// dispatchTraceT.
-  template <bool Timing>
-  int32_t dispatchThreadedTraceT(core::Trace& trace,
-                                 const core::ThreadedProgram& prog,
-                                 uint64_t time_limit, bool* epoch_done);
+  /// Rebuilds the stepping engine's warm view of the open block after
+  /// its instructions [0, n) ran on a block engine: replayed issue
+  /// schedule, live_pipe_ at their cost, line tracking at instruction
+  /// n-1. Used when control leaves the block engine mid-block — an
+  /// indirect jump into a block middle, a private-slice bail — so the
+  /// per-instruction fallback resumes bit-exactly.
+  void rewarmStepping(const core::ExecBlock& block, size_t n);
+  /// Executes a superblock, one segment per constituent block through
+  /// `run_segment(s)` (interpreted or threaded), with the boundary epoch
+  /// and the guard between segments. Returns the chained next-block
+  /// index, -1 (resolve via lookup/stepping) or kDispatchYield (quantum
+  /// expired at an internal boundary). Sets *epoch_done when it bailed
+  /// *after* running a boundary's epoch, so the caller runs each epoch
+  /// exactly once.
+  template <bool Timing, class RunSegment>
+  int32_t walkTrace(core::Trace& trace, uint64_t time_limit,
+                    bool* epoch_done, RunSegment run_segment);
   /// The handler table matching this core's configured detail level
   /// (handlers are bound per (timing, branch-extras) with the icache
   /// touch decided per op at lowering).
@@ -492,7 +568,7 @@ class Iss {
   /// edges by comparing pc_ (no lookup); updates the outcome counters.
   int32_t resolveNext(core::ExecBlock& block);
   /// resolveNext plus the stepping-engine re-warm for indirect jumps
-  /// landing mid-block (see runLoopLookup for the original comment).
+  /// landing mid-block.
   template <bool Timing>
   int32_t afterBlock(core::ExecBlock& block);
   /// True when any constituent block of `trace` holds a breakpoint.
@@ -502,8 +578,7 @@ class Iss {
   void refreshBreakpointFlag(uint32_t addr);
   /// Samples the interrupt input at a block boundary; may redirect pc_.
   void maybeTakeIrq();
-  /// Block-boundary observability epoch: polls the PC sampler. Placed
-  /// beside the quantum-yield/interrupt checks in every engine; the
+  /// Block-boundary observability poll (part of boundaryEpoch()); the
   /// sampler's due-time ladder makes repeated calls at one local time
   /// idempotent, so yields and private-slice bails cannot double-count.
   void observeBoundary() {
@@ -531,26 +606,20 @@ class Iss {
     cov_last_time_ = now;
     cov_last_pc_ = pc_;
   }
-  /// Block-boundary fault-injection epoch. Runs at the *first boundary
-  /// epoch the engine does not yield at* with localTime() >= the fault's
-  /// cycle: in the block engines it sits after the quantum-yield check
-  /// (a yielding boundary re-runs its epoch on resume), in step() it sits
-  /// between observeBoundary() and maybeTakeIrq() (the stepping loop's
-  /// yield check runs before step()). The ladder makes re-observation of
-  /// one epoch idempotent — consumed faults never re-apply. Returns true
-  /// when a fault fired (callers may need to re-resolve a chained block
-  /// if the fault redirected pc_). Safe inside private slices: core
-  /// faults touch only core-private state, and prefixes are real
-  /// committed execution, so skipping them there would diverge seq/par.
-  bool pollFaults() {
-    if (injector_ == nullptr || !injector_->due(localTime())) {
-      return false;
+  /// Block-boundary fault-injection poll, run by boundaryEpoch() after
+  /// the quantum-yield check. The ladder makes re-observation of one
+  /// epoch idempotent — consumed faults never re-apply. Safe inside
+  /// private slices: core faults touch only core-private state, and
+  /// prefixes are real committed execution, so skipping them there would
+  /// diverge seq/par.
+  void pollFaults() {
+    if (injector_ != nullptr && injector_->due(localTime())) {
+      applyDueFaults();
     }
-    return applyDueFaults();
   }
   /// Applies every fault with cycle <= localTime(); the cold half of
   /// pollFaults().
-  bool applyDueFaults();
+  void applyDueFaults();
   /// Stops with kDebugBreak when pc_ sits on a breakpoint (once per
   /// arrival: a resume steps over it). Returns true when stopped.
   bool checkDebugBreak();

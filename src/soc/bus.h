@@ -4,7 +4,7 @@
 //
 // Threading contract (the parallel-round kernel, DESIGN.md section 7):
 // the bus and its devices are *not* internally synchronized. All
-// mutating calls — read/write/clockCycle/advanceTo — happen on the
+// mutating calls — read/write/advanceTo — happen on the
 // sequential drain of a round (one thread at a time, ordered by the
 // kernel's deterministic dispatch order). Worker-thread prefixes may
 // only call covers(), which touches nothing but the window table laid
@@ -86,15 +86,6 @@ class SocBus {
       return false;
     }
     return findWindow(addr) != nullptr;
-  }
-
-  /// One SoC clock edge; advances the bus cycle counter and clocks all
-  /// devices.
-  void clockCycle() {
-    ++soc_cycle_;
-    for (const Window& w : windows_) {
-      w.device->clockCycle(soc_cycle_);
-    }
   }
 
   /// Advances the bus clock to SoC cycle `to` in one jump (lazy time

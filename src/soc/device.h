@@ -31,23 +31,16 @@ class Device {
   virtual void write(uint32_t offset, uint32_t value, unsigned size,
                      uint64_t soc_cycle) = 0;
 
-  /// One SoC clock edge.
-  virtual void clockCycle(uint64_t soc_cycle) { (void)soc_cycle; }
-
   /// Advances the device from SoC cycle `from` (exclusive) to `to`
-  /// (inclusive) in one jump. The default replays clockCycle() per cycle,
-  /// which is always correct; devices whose state is a pure function of
-  /// time override this with an O(1)/O(events) computation so that the
-  /// event kernel's lazy time advancement (sim/kernel.h) costs O(work)
-  /// instead of O(cycles). Like every mutating device entry point,
-  /// advanceTo runs only on the kernel's sequential drain — never
-  /// concurrently — under the parallel-round kernel (see the threading
-  /// contract in soc/bus.h); implementations need no locking.
-  virtual void advanceTo(uint64_t from, uint64_t to) {
-    for (uint64_t c = from + 1; c <= to; ++c) {
-      clockCycle(c);
-    }
-  }
+  /// (inclusive) in one jump — the only way time reaches a device.
+  /// Implementations compute the jump in O(1)/O(events), so the event
+  /// kernel's lazy time advancement (sim/kernel.h) costs O(work) instead
+  /// of O(cycles); a single clock edge is advanceTo(c - 1, c). Like every
+  /// mutating device entry point, advanceTo runs only on the kernel's
+  /// sequential drain — never concurrently — under the parallel-round
+  /// kernel (see the threading contract in soc/bus.h); implementations
+  /// need no locking.
+  virtual void advanceTo(uint64_t from, uint64_t to) = 0;
 
   // -- snapshot support (src/snap, DESIGN.md section 9) -----------------
   //

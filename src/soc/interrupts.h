@@ -271,10 +271,6 @@ class ProgrammableTimer : public Device {
     }
   }
 
-  void clockCycle(uint64_t soc_cycle) override {
-    advanceTo(soc_cycle - 1, soc_cycle);
-  }
-
   /// Expiries in the jumped-over interval are computed arithmetically, so
   /// timer behaviour depends only on timestamps, never on slice shape.
   void advanceTo(uint64_t, uint64_t to) override {

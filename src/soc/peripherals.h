@@ -38,8 +38,6 @@ class TimerDevice : public Device {
     count_ = 0;
   }
 
-  void clockCycle(uint64_t) override { ++count_; }
-
   /// Free-running count is a pure function of elapsed time.
   void advanceTo(uint64_t from, uint64_t to) override { count_ += to - from; }
 

@@ -463,7 +463,9 @@ done:   halt
 // value depends on the exact bus time of the read, and a scratch
 // register file — so an opcode whose semantics, timing or bus
 // interaction drifts in any engine shows up in the final state. The
-// iteration counter d15 steers every conditional branch both ways.
+// iteration counter d15 steers every conditional branch both ways, and
+// the indirect jump lands on a leader (the fall-through of the `ji`), so
+// no instruction is left to the mid-block stepping fallback.
 const char* kEveryOpcode = R"(
 _start: movi d15, 5
         movi d0, 0
@@ -561,7 +563,6 @@ b8:     jl sub1
         movha a7, hi(b9)
         lea a7, a7, lo(b9)
         ji a7
-        addi16 d0, 9
 b9:     j b10
         addi16 d0, 10
 b10:    j16 b11
@@ -718,6 +719,21 @@ TEST(OpcodeCoverage, EveryOpcodeRunsBitIdenticallyOnEveryEngine) {
           EXPECT_GT(rig.iss->stats().threaded_instrs,
                     rig.iss->stats().instructions / 2);
         }
+      }
+      {
+        // Thresholds of 0 lower every block on its first dispatch, so
+        // the run-once tails — HALT, and the BKPT block that ends its
+        // run — retire through their threaded handlers too.
+        SCOPED_TRACE("threaded, thresholds 0");
+        iss::IssConfig cfg;
+        cfg.dispatch_mode = iss::DispatchMode::kThreaded;
+        cfg.trace_threshold = 0;
+        cfg.threaded_threshold = 0;
+        CoverageRig rig(*p.obj, platform::issConfigFor(level, cfg));
+        ASSERT_EQ(rig.iss->run(), p.stop);
+        expectSameArchitecture(rig, ref);
+        EXPECT_EQ(rig.iss->stats().threaded_instrs,
+                  rig.iss->stats().instructions);
       }
     }
   }

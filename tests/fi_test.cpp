@@ -294,15 +294,29 @@ TEST(CoreInjector, ValidatesSchedulesAndConsumesInOrder) {
 
 TEST(CampaignArm, RejectsRegisterIndicesPastD15) {
   // The spec's index is range-checked before it narrows to the injector's
-  // byte: 256 must not wrap to d0.
+  // byte: 256 must not wrap to d0. Every field rejects a value that does
+  // not fit it (2^32 must not truncate to 0), and a spec naming a core
+  // the board does not have fails as cabt::Error, not out_of_range.
   const GridBoard grid = makeBoard(std::vector<std::string>{"mc_worker"});
   for (const char* spec : {"dreg@200:index=16,mask=1",
                            "dreg@200:index=256,mask=1",
-                           "areg@200:index=272,mask=1"}) {
+                           "areg@200:index=272,mask=1",
+                           "dreg@200:index=4294967296,mask=1",
+                           "ring@200:mask=4294967296",
+                           "mem@200:addr=4294967296,mask=1",
+                           "buserr@200:addr=0xf0000000,hi=4294967296",
+                           "buserr@200:addr=0xf0000000,count=4294967296",
+                           "dreg@10:core=3,index=1,mask=1",
+                           "buserr@10:core=3,addr=0xf0000000"}) {
     auto board = buildBoard(grid, RunConfig{});
     fi::Campaign camp;
-    camp.add(fi::parseFaultSpec(spec));
-    EXPECT_THROW(camp.arm(*board), Error) << spec;
+    EXPECT_THROW(
+        {
+          camp.add(fi::parseFaultSpec(spec));
+          camp.arm(*board);
+        },
+        Error)
+        << spec;
   }
 }
 

@@ -43,10 +43,10 @@ TEST(SocBus, LogsTransactionsWithCycleStamps) {
   SocBus bus;
   ScratchDevice scratch;
   bus.attach(&scratch, 0x0, 0x40);
-  bus.clockCycle();
-  bus.clockCycle();
+  bus.advanceTo(bus.socCycle() + 1);
+  bus.advanceTo(bus.socCycle() + 1);
   bus.write(0x0, 5, 4);
-  bus.clockCycle();
+  bus.advanceTo(bus.socCycle() + 1);
   bus.read(0x0, 4);
   ASSERT_EQ(bus.log().size(), 2u);
   EXPECT_EQ(bus.log()[0].soc_cycle, 2u);
@@ -61,7 +61,7 @@ TEST(SocBus, LogLimitKeepsMostRecentTransactions) {
   bus.attach(&scratch, 0x0, 0x40);
   bus.setLogLimit(4);
   for (uint32_t i = 0; i < 100; ++i) {
-    bus.clockCycle();
+    bus.advanceTo(bus.socCycle() + 1);
     bus.write(0x0, i, 4);
   }
   // The cap bounds memory (below 2x the limit) while always retaining at
@@ -100,7 +100,7 @@ TEST(Timer, CountsOnlyClockedCycles) {
   bus.attach(&timer, 0x0, 0x10);
   EXPECT_EQ(bus.read(0x0, 4), 0u);
   for (int i = 0; i < 5; ++i) {
-    bus.clockCycle();
+    bus.advanceTo(bus.socCycle() + 1);
   }
   EXPECT_EQ(bus.read(0x0, 4), 5u);
   bus.write(0x8, 0, 4);  // reset
@@ -111,9 +111,9 @@ TEST(CharDev, CollectsOutputWithStamps) {
   SocBus bus;
   CharDevice chardev;
   bus.attach(&chardev, 0x0, 0x10);
-  bus.clockCycle();
+  bus.advanceTo(bus.socCycle() + 1);
   bus.write(0x0, 'h', 4);
-  bus.clockCycle();
+  bus.advanceTo(bus.socCycle() + 1);
   bus.write(0x0, 'i', 4);
   EXPECT_EQ(chardev.output(), "hi");
   EXPECT_EQ(chardev.stamps(), (std::vector<uint64_t>{1, 2}));
@@ -207,7 +207,7 @@ class TickedSyncDevice {
     subcycle_ = 0;
     --remaining_;
     ++total_generated_;
-    bus_->clockCycle();
+    bus_->advanceTo(bus_->socCycle() + 1);
     return true;
   }
 
@@ -280,7 +280,7 @@ TEST(StandardBoard, AttachesPeripheralsAtStandardOffsets) {
   StandardPeripherals board(0xf0000000);
   board.bus.write(0xf0000200, 'x', 4);
   EXPECT_EQ(board.chardev.output(), "x");
-  board.bus.clockCycle();
+  board.bus.advanceTo(board.bus.socCycle() + 1);
   EXPECT_EQ(board.bus.read(0xf0000100, 4), 1u);  // timer
   board.bus.write(0xf0000300, 9, 4);
   EXPECT_EQ(board.scratch.reg(0), 9u);
