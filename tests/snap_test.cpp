@@ -18,6 +18,7 @@
 // architectural behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <functional>
 #include <memory>
@@ -65,6 +66,7 @@ struct RunConfig {
   bool use_block_cache = true;
   bool parallel = false;
   sim::Cycle quantum = 1024;
+  bool watchdog = false;
 };
 
 std::unique_ptr<platform::ReferenceBoard> buildBoard(const GridBoard& grid,
@@ -78,6 +80,7 @@ std::unique_ptr<platform::ReferenceBoard> buildBoard(const GridBoard& grid,
   cfg.quantum = rc.quantum;
   cfg.parallel.enabled = rc.parallel;
   cfg.parallel.workers = 2;  // real threads even on 1-core hosts
+  cfg.watchdog = rc.watchdog;
   return std::make_unique<platform::ReferenceBoard>(desc, grid.image_ptrs,
                                                     cfg);
 }
@@ -432,6 +435,89 @@ void refootSnapshot(std::vector<uint8_t>& snap) {
   const uint64_t sum = serial::fnv1a(snap.data(), snap.size() - 8);
   for (size_t i = 0; i < 8; ++i) {
     snap[snap.size() - 8 + i] = static_cast<uint8_t>(sum >> (8 * i));
+  }
+}
+
+/// Offset of the first byte after the `nth` (0-based) occurrence of the
+/// section tag `tag` (u32 length + name) in a snapshot image.
+size_t afterTag(const std::vector<uint8_t>& snap, const std::string& tag,
+                size_t nth = 0) {
+  std::vector<uint8_t> needle(4, 0);
+  needle[0] = static_cast<uint8_t>(tag.size());
+  needle.insert(needle.end(), tag.begin(), tag.end());
+  auto it = snap.begin();
+  for (size_t i = 0;; ++i) {
+    it = std::search(it, snap.end(), needle.begin(), needle.end());
+    if (it == snap.end()) {
+      ADD_FAILURE() << "no section tag '" << tag << "' #" << nth;
+      return 0;
+    }
+    if (i == nth) {
+      return static_cast<size_t>(it - snap.begin()) + needle.size();
+    }
+    ++it;
+  }
+}
+
+/// Core-section layout after the "iss" tag: the compatibility record
+/// (3 flags, irq_entry_cycles u32, max_instructions u64, fingerprint
+/// u64), then pc u32, stop u8, d[16], a[16], committed u64, live_pipe
+/// u64, in_block flag.
+constexpr size_t kIssStopOffset = 3 + 4 + 8 + 8 + 4;
+constexpr size_t kIssInBlockOffset = kIssStopOffset + 1 + 64 + 64 + 8 + 8;
+
+// The exact bytes of snap::save, pinned (size + FNV-1a) for three
+// boards that between them reach every section writer: the interrupt
+// scenario at icache level (intc, ptimer, chardev, bus log), the
+// four-core board with the watchdog attached (watchdog and fault-proxy
+// sections, four core sections, a four-entry kernel queue), and a
+// stepping-engine core saved mid-block (the open-block residue). The
+// golden digests skip the kernel queue, the dispatch-path counters and
+// the raw page images; this test does not, so a section writer that
+// drifts by one byte fails here.
+TEST(SnapshotFormat, SnapshotBytesArePinned) {
+  struct Pin {
+    const char* name;
+    std::vector<std::string> programs;
+    RunConfig rc;
+    size_t size;
+    uint64_t fnv;
+  };
+  RunConfig quad;
+  quad.watchdog = true;
+  RunConfig stepping;
+  stepping.use_block_cache = false;
+  stepping.mode = iss::DispatchMode::kLookup;
+  stepping.quantum = 16;
+  const std::vector<Pin> pins = {
+      {"irq_ticks", {"irq_ticks"}, RunConfig{}, 10424, 0xf4e7c6d44225ce16ull},
+      {"mc_quad+watchdog",
+       {"mc_producer", "mc_consumer", "mc_worker", "mc_worker"},
+       quad,
+       47324,
+       0x11ac0544ec20c002ull},
+      {"stepping mid-block",
+       {"mc_producer", "mc_consumer"},
+       stepping,
+       25635,
+       0x62f897d27dccfd1full},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    const GridBoard grid = makeBoard(pin.programs);
+    auto board = buildBoard(grid, pin.rc);
+    board->runTo(kSaveAt);
+    const std::vector<uint8_t> snap = snap::save(*board);
+    if (!pin.rc.use_block_cache) {
+      bool open = false;
+      for (size_t i = 0; i < board->numCores(); ++i) {
+        open = open || snap[afterTag(snap, "iss", i) + kIssInBlockOffset] == 1;
+      }
+      EXPECT_TRUE(open) << "no core is mid-block at the save point";
+    }
+    EXPECT_EQ(snap.size(), pin.size);
+    EXPECT_EQ(serial::fnv1a(snap), pin.fnv)
+        << "0x" << std::hex << serial::fnv1a(snap);
   }
 }
 
