@@ -97,35 +97,42 @@ class ICacheState {
   // -- snapshot support (src/snap): tags, valid bits and LRU ages decide
   //    every future hit/miss, so they are architectural state for the
   //    cycle counts. Geometry is construction-time and only verified.
-  void saveState(serial::Writer& w) const {
-    w.tag("icache");
-    w.u32(model_.sets);
-    w.u32(model_.ways);
-    for (const uint32_t t : tags_) {
-      w.u32(t);
-    }
-    for (const uint32_t l : lru_) {
-      w.u32(l);
-    }
-    w.u64(hits_);
-    w.u64(misses_);
-  }
+  void saveState(serial::Writer& w) const { io(*this, w); }
 
+  /// A restored LRU word must be a permutation of the way indices: the
+  /// replacement victim it names indexes the tag array.
   void restoreState(serial::Reader& r) {
-    r.tag("icache");
-    CABT_CHECK(r.u32() == model_.sets && r.u32() == model_.ways,
-               "snapshot icache geometry does not match this core");
-    for (uint32_t& t : tags_) {
-      t = r.u32();
+    io(*this, r);
+    for (const uint32_t word : lru_) {
+      CABT_CHECK(isLruWord(word), "snapshot icache LRU word 0x"
+                                      << std::hex << word
+                                      << " is not a permutation of the ways");
     }
-    for (uint32_t& l : lru_) {
-      l = r.u32();
-    }
-    hits_ = r.u64();
-    misses_ = r.u64();
   }
 
  private:
+  template <class Self, class Ar>
+  static void io(Self& self, Ar& ar) {
+    ar.tag("icache");
+    ar.expect(self.model_.sets, "icache sets");
+    ar.expect(self.model_.ways, "icache ways");
+    ar.fixed(self.tags_);
+    ar.fixed(self.lru_);
+    ar.fields(self.hits_, self.misses_);
+  }
+
+  [[nodiscard]] bool isLruWord(uint32_t word) const {
+    uint32_t seen = 0;
+    for (uint32_t i = 0; i < model_.ways; ++i) {
+      const uint32_t way = (word >> (8 * i)) & 0xffu;
+      if (way >= model_.ways || (seen >> way & 1u) != 0) {
+        return false;
+      }
+      seen |= 1u << way;
+    }
+    return model_.ways == 4 || word >> (8 * model_.ways) == 0;
+  }
+
   static uint32_t initialLruWord(uint32_t ways) {
     uint32_t w = 0;
     for (uint32_t i = 0; i < ways; ++i) {

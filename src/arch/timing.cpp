@@ -15,29 +15,16 @@ void PipelineTimer::reset() {
   pair_dst_ = TimedOp::kNoReg;
 }
 
-void PipelineTimer::saveState(serial::Writer& w) const {
-  w.tag("pipe");
-  for (const uint64_t r : ready_) {
-    w.u64(r);
-  }
-  w.u64(next_issue_);
-  w.u64(cycles_);
-  w.b(pair_open_);
-  w.u64(pair_cycle_);
-  w.i32(pair_dst_);
+template <class Self, class Ar>
+void PipelineTimer::io(Self& self, Ar& ar) {
+  ar.tag("pipe");
+  ar.fixed(self.ready_);
+  ar.fields(self.next_issue_, self.cycles_, self.pair_open_, self.pair_cycle_,
+            self.pair_dst_);
 }
 
-void PipelineTimer::restoreState(serial::Reader& r) {
-  r.tag("pipe");
-  for (uint64_t& reg : ready_) {
-    reg = r.u64();
-  }
-  next_issue_ = r.u64();
-  cycles_ = r.u64();
-  pair_open_ = r.b();
-  pair_cycle_ = r.u64();
-  pair_dst_ = r.i32();
-}
+void PipelineTimer::saveState(serial::Writer& w) const { io(*this, w); }
+void PipelineTimer::restoreState(serial::Reader& r) { io(*this, r); }
 
 uint64_t PipelineTimer::issue(const TimedOp& op) {
   const auto readyAt = [this](int reg) -> uint64_t {

@@ -59,6 +59,9 @@ class PipelineTimer {
  private:
   static constexpr int kNumRegs = 32;
 
+  template <class Self, class Ar>
+  static void io(Self& self, Ar& ar);
+
   const PipelineModel& model_;
   uint64_t ready_[kNumRegs] = {};  ///< cycle when each register is usable
   uint64_t next_issue_ = 0;        ///< earliest cycle for the next instruction

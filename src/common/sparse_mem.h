@@ -96,25 +96,15 @@ class SparseMemory {
 
   /// Serializes every touched page. Pages iterate in address order
   /// (std::map), so the byte stream is canonical for a given page set.
-  void saveState(serial::Writer& w) const {
-    w.tag("mem");
-    w.u32(static_cast<uint32_t>(pages_.size()));
-    for (const auto& [base, page] : pages_) {
-      w.u32(base);
-      w.bytes(page.data(), page.size());
-    }
-  }
+  void saveState(serial::Writer& w) const { io(*this, w); }
 
   /// Replaces the full contents with a saved image.
   void restoreState(serial::Reader& r) {
-    r.tag("mem");
-    pages_.clear();
-    const uint32_t n = r.u32();
-    for (uint32_t i = 0; i < n; ++i) {
-      const uint32_t base = r.u32();
-      Page page(kPageSize, 0);
-      r.bytes(page.data(), page.size());
-      pages_.emplace(base, std::move(page));
+    io(*this, r);
+    for (const auto& [base, page] : pages_) {
+      CABT_CHECK(base % kPageSize == 0,
+                 "snapshot page base 0x" << std::hex << base
+                                         << " is not page-aligned");
     }
   }
 
@@ -139,6 +129,15 @@ class SparseMemory {
  private:
   using Page = std::vector<uint8_t>;
 
+  template <class Self, class Ar>
+  static void io(Self& self, Ar& ar) {
+    ar.tag("mem");
+    ar.seq(self.pages_, [&ar](auto& entry) {
+      ar.field(entry.first);
+      ar.bytes(entry.second, kPageSize);
+    });
+  }
+
   [[nodiscard]] bool coveredBy(const SparseMemory& other) const {
     for (const auto& [base, page] : pages_) {
       for (uint32_t i = 0; i < kPageSize; ++i) {
@@ -157,11 +156,7 @@ class SparseMemory {
 
   Page& page(uint32_t addr) {
     const uint32_t base = addr >> kPageBits << kPageBits;
-    auto it = pages_.find(base);
-    if (it == pages_.end()) {
-      it = pages_.emplace(base, Page(kPageSize, 0)).first;
-    }
-    return it->second;
+    return pages_.try_emplace(base, kPageSize, uint8_t{0}).first->second;
   }
 
   std::map<uint32_t, Page> pages_;

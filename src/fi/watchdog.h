@@ -107,20 +107,15 @@ class WatchdogDevice : public soc::Device {
     }
   }
 
-  void saveState(serial::Writer& w) const override {
-    w.u32(load_);
-    w.b(enabled_);
-    w.u64(deadline_);
-    w.u64(fired_);
-  }
-  void restoreState(serial::Reader& r) override {
-    load_ = r.u32();
-    enabled_ = r.b();
-    deadline_ = r.u64();
-    fired_ = r.u64();
-  }
+  void saveState(serial::Writer& w) const override { io(*this, w); }
+  void restoreState(serial::Reader& r) override { io(*this, r); }
 
  private:
+  template <class Self, class Ar>
+  static void io(Self& self, Ar& ar) {
+    ar.fields(self.load_, self.enabled_, self.deadline_, self.fired_);
+  }
+
   soc::InterruptController* intc_ = nullptr;
   unsigned line_ = 0;
   std::function<void(uint64_t)> on_fire_;

@@ -807,162 +807,54 @@ StopReason Iss::runLoopLookup(uint64_t time_limit) {
   return stop_;
 }
 
-namespace {
-
-/// IssStats is serialized field by field, in declaration order; a new
-/// counter extends the end of this list (and bumps the snapshot format
-/// version in src/snap).
-void saveStats(serial::Writer& w, const IssStats& s) {
-  w.u64(s.instructions);
-  w.u64(s.cycles);
-  w.u64(s.pipeline_cycles);
-  w.u64(s.branch_extra);
-  w.u64(s.cache_penalty);
-  w.u64(s.blocks);
-  w.u64(s.icache_accesses);
-  w.u64(s.icache_misses);
-  w.u64(s.cond_branches);
-  w.u64(s.cond_taken);
-  w.u64(s.mispredicts);
-  w.u64(s.io_reads);
-  w.u64(s.io_writes);
-  w.u64(s.irqs_taken);
-  w.u64(s.irq_entry_cycles);
-  w.u64(s.cached_blocks);
-  w.u64(s.chain_hits);
-  w.u64(s.trace_dispatches);
-  w.u64(s.trace_blocks);
-  w.u64(s.guard_bails);
-  w.u64(s.private_slices);
-  w.u64(s.private_bails);
-  w.u64(s.threaded_dispatches);
-  w.u64(s.threaded_instrs);
-  w.u64(s.threaded_lowerings);
-  w.u64(s.threaded_declined);
-}
-
-void restoreStats(serial::Reader& r, IssStats& s) {
-  s.instructions = r.u64();
-  s.cycles = r.u64();
-  s.pipeline_cycles = r.u64();
-  s.branch_extra = r.u64();
-  s.cache_penalty = r.u64();
-  s.blocks = r.u64();
-  s.icache_accesses = r.u64();
-  s.icache_misses = r.u64();
-  s.cond_branches = r.u64();
-  s.cond_taken = r.u64();
-  s.mispredicts = r.u64();
-  s.io_reads = r.u64();
-  s.io_writes = r.u64();
-  s.irqs_taken = r.u64();
-  s.irq_entry_cycles = r.u64();
-  s.cached_blocks = r.u64();
-  s.chain_hits = r.u64();
-  s.trace_dispatches = r.u64();
-  s.trace_blocks = r.u64();
-  s.guard_bails = r.u64();
-  s.private_slices = r.u64();
-  s.private_bails = r.u64();
-  s.threaded_dispatches = r.u64();
-  s.threaded_instrs = r.u64();
-  s.threaded_lowerings = r.u64();
-  s.threaded_declined = r.u64();
-}
-
-}  // namespace
-
-void Iss::saveState(serial::Writer& w) const {
-  CABT_CHECK(!private_mode_,
-             "cannot snapshot a core inside an open private slice");
-  w.tag("iss");
+template <class Self, class Ar>
+void Iss::io(Self& self, Ar& ar) {
+  ar.tag("iss");
   // Compatibility record: the architectural configuration and a program
   // fingerprint. Restore requires an identical pair — a snapshot taken
   // at one detail level or of one program must not restore into another.
   // Dispatch mode / block-cache knobs are deliberately absent: they are
   // host-side strategy, and a snapshot moves freely between them.
-  w.b(config_.model_timing);
-  w.b(config_.model_branch_extras);
-  w.b(icacheOn());
-  w.u32(config_.irq_entry_cycles);
-  w.u64(config_.max_instructions);
+  ar.expect(self.config_.model_timing, "detail level (timing)");
+  ar.expect(self.config_.model_branch_extras, "detail level (branch extras)");
+  ar.expect(self.icacheOn(), "detail level (icache)");
+  ar.expect(self.config_.irq_entry_cycles, "irq entry cycles");
+  ar.expect(self.config_.max_instructions, "instruction limit");
   // The artifact caches the fingerprint (same bytes as the
   // historical per-save computation, see program_artifact.cpp).
-  w.u64(artifact_->fingerprint());
+  ar.expect(self.artifact_->fingerprint(), "program fingerprint");
   // Architectural core state.
-  w.u32(pc_);
-  w.u8(static_cast<uint8_t>(stop_));
-  for (const uint32_t v : d_) {
-    w.u32(v);
-  }
-  for (const uint32_t v : a_) {
-    w.u32(v);
-  }
+  ar.field(self.pc_);
+  ar.enumeration(self.stop_, StopReason::kCycleLimit);  // last enumerator
+  ar.fixed(self.d_);
+  ar.fixed(self.a_);
   // Lazy-commit cycle accounting and the open block's residue.
-  w.u64(committed_cycles_);
-  w.u64(live_pipe_);
-  w.b(in_block_);
-  w.b(have_line_);
-  w.u32(last_line_);
-  w.u32(current_block_.addr);
-  w.u32(current_block_.pipeline_cycles);
-  w.u32(current_block_.branch_extra);
-  w.u32(current_block_.cache_penalty);
-  timer_.saveState(w);
-  icache_.saveState(w);
-  saveStats(w, stats_);
-  // Debug state: the breakpoint set and a pending step-over.
-  w.u32(static_cast<uint32_t>(breakpoints_.size()));
-  for (const uint32_t addr : breakpoints_) {
-    w.u32(addr);
+  ar.fields(self.committed_cycles_, self.live_pipe_, self.in_block_,
+            self.have_line_, self.last_line_);
+  auto& block = self.current_block_;
+  ar.fields(block.addr, block.pipeline_cycles, block.branch_extra,
+            block.cache_penalty);
+  ar.state(self.timer_);
+  ar.state(self.icache_);
+  for (const IssStatsField& f : kIssStatsFields) {
+    ar.field(self.stats_.*f.member);
   }
-  w.b(skip_breakpoint_at_.has_value());
-  w.u32(skip_breakpoint_at_.value_or(0));
-  mem_.saveState(w);
+  // Debug state: the breakpoint set and a pending step-over.
+  ar.seq(self.breakpoints_, [&ar](auto& addr) { ar.field(addr); });
+  ar.field(self.skip_breakpoint_at_);
+  ar.state(self.mem_);
+}
+
+void Iss::saveState(serial::Writer& w) const {
+  CABT_CHECK(!private_mode_,
+             "cannot snapshot a core inside an open private slice");
+  io(*this, w);
 }
 
 void Iss::restoreState(serial::Reader& r) {
   CABT_CHECK(!private_mode_,
              "cannot restore a core inside an open private slice");
-  r.tag("iss");
-  CABT_CHECK(r.b() == config_.model_timing &&
-                 r.b() == config_.model_branch_extras && r.b() == icacheOn(),
-             "snapshot detail level does not match this core's config");
-  CABT_CHECK(r.u32() == config_.irq_entry_cycles &&
-                 r.u64() == config_.max_instructions,
-             "snapshot limits do not match this core's config");
-  CABT_CHECK(r.u64() == artifact_->fingerprint(),
-             "snapshot program does not match this core's image");
-  pc_ = r.u32();
-  stop_ = static_cast<StopReason>(r.u8());
-  for (uint32_t& v : d_) {
-    v = r.u32();
-  }
-  for (uint32_t& v : a_) {
-    v = r.u32();
-  }
-  committed_cycles_ = r.u64();
-  live_pipe_ = r.u64();
-  in_block_ = r.b();
-  have_line_ = r.b();
-  last_line_ = r.u32();
-  current_block_.addr = r.u32();
-  current_block_.pipeline_cycles = r.u32();
-  current_block_.branch_extra = r.u32();
-  current_block_.cache_penalty = r.u32();
-  timer_.restoreState(r);
-  icache_.restoreState(r);
-  restoreStats(r, stats_);
-  breakpoints_.clear();
-  const uint32_t num_bps = r.u32();
-  for (uint32_t i = 0; i < num_bps; ++i) {
-    breakpoints_.insert(r.u32());
-  }
-  const bool have_skip = r.b();
-  const uint32_t skip_addr = r.u32();
-  skip_breakpoint_at_ =
-      have_skip ? std::optional<uint32_t>(skip_addr) : std::nullopt;
-  mem_.restoreState(r);
+  io(*this, r);
   // Derived-state revalidation: the predecoded cache (if one exists) is
   // still a valid decode of the immutable image, but its per-block
   // breakpoint flags mirror the old breakpoint set — recompute every one
@@ -984,41 +876,24 @@ void Iss::restoreState(serial::Reader& r) {
 }
 
 void Iss::digestState(serial::Writer& w) const {
-  w.u32(pc_);
-  w.u8(static_cast<uint8_t>(stop_));
-  for (const uint32_t v : d_) {
-    w.u32(v);
-  }
-  for (const uint32_t v : a_) {
-    w.u32(v);
-  }
-  w.u64(committed_cycles_);
-  w.u64(live_pipe_);
-  w.b(in_block_);
-  w.b(have_line_);
+  w.field(pc_);
+  w.enumeration(stop_, StopReason::kCycleLimit);
+  w.fixed(d_);
+  w.fixed(a_);
+  w.fields(committed_cycles_, live_pipe_, in_block_, have_line_);
   // last_line_ is meaningful only while a line is tracked; when it is
   // not, the engines leave different stale residue behind (the stepping
   // engine writes it per line, the block engines only on mid-block
   // re-warm) — digest the live value only.
-  w.u32(have_line_ ? last_line_ : 0);
+  w.field(have_line_ ? last_line_ : 0);
   timer_.saveState(w);
   icache_.saveState(w);
   // Architectural counters only (identical across dispatch engines).
-  w.u64(stats_.instructions);
-  w.u64(stats_.cycles);
-  w.u64(stats_.pipeline_cycles);
-  w.u64(stats_.branch_extra);
-  w.u64(stats_.cache_penalty);
-  w.u64(stats_.blocks);
-  w.u64(stats_.icache_accesses);
-  w.u64(stats_.icache_misses);
-  w.u64(stats_.cond_branches);
-  w.u64(stats_.cond_taken);
-  w.u64(stats_.mispredicts);
-  w.u64(stats_.io_reads);
-  w.u64(stats_.io_writes);
-  w.u64(stats_.irqs_taken);
-  w.u64(stats_.irq_entry_cycles);
+  for (const IssStatsField& f : kIssStatsFields) {
+    if (f.architectural) {
+      w.field(stats_.*f.member);
+    }
+  }
   mem_.writeCanonical(w);
 }
 
@@ -1040,32 +915,9 @@ void Iss::publishMetrics(obs::MetricsRegistry& reg,
   auto set = [&](const char* leaf, uint64_t v) {
     reg.setCounter(prefix + leaf, v);
   };
-  set("instructions", stats_.instructions);
-  set("cycles", stats_.cycles);
-  set("pipeline_cycles", stats_.pipeline_cycles);
-  set("branch_extra", stats_.branch_extra);
-  set("cache_penalty", stats_.cache_penalty);
-  set("blocks", stats_.blocks);
-  set("icache_accesses", stats_.icache_accesses);
-  set("icache_misses", stats_.icache_misses);
-  set("cond_branches", stats_.cond_branches);
-  set("cond_taken", stats_.cond_taken);
-  set("mispredicts", stats_.mispredicts);
-  set("io_reads", stats_.io_reads);
-  set("io_writes", stats_.io_writes);
-  set("irqs_taken", stats_.irqs_taken);
-  set("irq_entry_cycles", stats_.irq_entry_cycles);
-  set("cached_blocks", stats_.cached_blocks);
-  set("chain_hits", stats_.chain_hits);
-  set("trace_dispatches", stats_.trace_dispatches);
-  set("trace_blocks", stats_.trace_blocks);
-  set("guard_bails", stats_.guard_bails);
-  set("private_slices", stats_.private_slices);
-  set("private_bails", stats_.private_bails);
-  set("threaded_dispatches", stats_.threaded_dispatches);
-  set("threaded_instrs", stats_.threaded_instrs);
-  set("threaded_lowerings", stats_.threaded_lowerings);
-  set("threaded_declined", stats_.threaded_declined);
+  for (const IssStatsField& f : kIssStatsFields) {
+    set(f.name, stats_.*f.member);
+  }
   reg.setGauge(prefix + "local_time", static_cast<double>(localTime()));
   if (cache_ != nullptr) {
     for (const core::ExecBlock* b : cache_->hottest(SIZE_MAX)) {

@@ -42,6 +42,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <set>
@@ -133,6 +134,62 @@ struct IssStats {
   uint64_t threaded_lowerings = 0;
   uint64_t threaded_declined = 0;
 };
+
+/// One IssStats counter: its name (the metrics leaf, the fuzz oracle's
+/// report), the member, and whether it is architectural — identical
+/// across dispatch engines and kernels, so the rolling digest and the
+/// fuzz oracle compare it. The table is in declaration order, which is
+/// the snapshot order (a new counter extends the end and bumps the
+/// snapshot format version); the architectural counters come first.
+struct IssStatsField {
+  const char* name;
+  uint64_t IssStats::*member;
+  bool architectural;
+};
+
+inline constexpr IssStatsField kIssStatsFields[] = {
+    {"instructions", &IssStats::instructions, true},
+    {"cycles", &IssStats::cycles, true},
+    {"pipeline_cycles", &IssStats::pipeline_cycles, true},
+    {"branch_extra", &IssStats::branch_extra, true},
+    {"cache_penalty", &IssStats::cache_penalty, true},
+    {"blocks", &IssStats::blocks, true},
+    {"icache_accesses", &IssStats::icache_accesses, true},
+    {"icache_misses", &IssStats::icache_misses, true},
+    {"cond_branches", &IssStats::cond_branches, true},
+    {"cond_taken", &IssStats::cond_taken, true},
+    {"mispredicts", &IssStats::mispredicts, true},
+    {"io_reads", &IssStats::io_reads, true},
+    {"io_writes", &IssStats::io_writes, true},
+    {"irqs_taken", &IssStats::irqs_taken, true},
+    {"irq_entry_cycles", &IssStats::irq_entry_cycles, true},
+    {"cached_blocks", &IssStats::cached_blocks, false},
+    {"chain_hits", &IssStats::chain_hits, false},
+    {"trace_dispatches", &IssStats::trace_dispatches, false},
+    {"trace_blocks", &IssStats::trace_blocks, false},
+    {"guard_bails", &IssStats::guard_bails, false},
+    {"private_slices", &IssStats::private_slices, false},
+    {"private_bails", &IssStats::private_bails, false},
+    {"threaded_dispatches", &IssStats::threaded_dispatches, false},
+    {"threaded_instrs", &IssStats::threaded_instrs, false},
+    {"threaded_lowerings", &IssStats::threaded_lowerings, false},
+    {"threaded_declined", &IssStats::threaded_declined, false},
+};
+static_assert(std::size(kIssStatsFields) * sizeof(uint64_t) ==
+                  sizeof(IssStats),
+              "every IssStats counter needs a kIssStatsFields entry");
+
+/// The first architectural counter in which `got` differs from `want`,
+/// or nullptr when they all agree.
+inline const IssStatsField* firstArchitecturalDiff(const IssStats& want,
+                                                   const IssStats& got) {
+  for (const IssStatsField& f : kIssStatsFields) {
+    if (f.architectural && got.*f.member != want.*f.member) {
+      return &f;
+    }
+  }
+  return nullptr;
+}
 
 /// Block-dispatch strategy of the run()/runUntil() engine (only
 /// meaningful while `use_block_cache` is true).
@@ -405,6 +462,10 @@ class Iss {
  private:
   template <bool Timing, bool BranchX>
   friend struct ThreadedHandlers;
+
+  /// The snapshot section body shared by saveState and restoreState.
+  template <class Self, class Ar>
+  static void io(Self& self, Ar& ar);
 
   /// walkTrace() result meaning "yield with kCycleLimit now";
   /// non-negative results chain into the next block, -1 falls back to

@@ -34,16 +34,21 @@ Kernel::Kernel(Cycle quantum) : quantum_(quantum) {
 
 Kernel::~Kernel() = default;
 
+template <class Self, class Ar, class Events, class ProcIo>
+void Kernel::io(Self& self, Ar& ar, Events& events, ProcIo&& proc_io) {
+  ar.tag("kernel");
+  ar.field(self.now_);
+  ar.expect(self.quantum_, "kernel quantum");
+  ar.fields(self.seq_, self.dispatched_, self.rounds_, self.prefixes_);
+  ar.seq(events, [&](auto& ev) {
+    ar.fields(ev.at, ev.seq);
+    proc_io(ev.proc);
+  });
+}
+
 void Kernel::saveState(
     serial::Writer& w,
     const std::function<uint32_t(Process*)>& index_of) const {
-  w.tag("kernel");
-  w.u64(now_);
-  w.u64(quantum_);
-  w.u64(seq_);
-  w.u64(dispatched_);
-  w.u64(rounds_);
-  w.u64(prefixes_);
   // Canonical event order (the comparator's total order), so the bytes
   // do not depend on the incidental heap layout.
   std::vector<Ev> sorted;
@@ -56,37 +61,16 @@ void Kernel::saveState(
   std::sort(sorted.begin(), sorted.end(), [](const Ev& a, const Ev& b) {
     return a.at != b.at ? a.at < b.at : a.seq < b.seq;
   });
-  w.u32(static_cast<uint32_t>(sorted.size()));
-  for (const Ev& ev : sorted) {
-    w.u64(ev.at);
-    w.u64(ev.seq);
-    w.u32(index_of(ev.proc));
-  }
+  io(*this, w, sorted, [&](Process* p) { w.field(index_of(p)); });
 }
 
 void Kernel::restoreState(
     serial::Reader& r,
     const std::function<Process*(uint32_t)>& process_at) {
-  r.tag("kernel");
-  now_ = r.u64();
-  const uint64_t quantum = r.u64();
-  CABT_CHECK(quantum == quantum_,
-             "snapshot quantum " << quantum << " does not match this "
-                                 << "kernel's " << quantum_);
-  seq_ = r.u64();
-  dispatched_ = r.u64();
-  rounds_ = r.u64();
-  prefixes_ = r.u64();
-  queue_.clear();
-  const uint32_t n = r.u32();
-  for (uint32_t i = 0; i < n; ++i) {
-    Ev ev;
-    ev.at = r.u64();
-    ev.seq = r.u64();
-    ev.proc = process_at(r.u32());
-    CABT_CHECK(ev.proc != nullptr, "snapshot names an unknown process");
-    queue_.push_back(std::move(ev));
-  }
+  io(*this, r, queue_, [&](Process*& p) {
+    p = process_at(r.get<uint32_t>());
+    CABT_CHECK(p != nullptr, "snapshot names an unknown process");
+  });
   std::make_heap(queue_.begin(), queue_.end(), Later{});
 }
 

@@ -275,6 +275,11 @@ class Kernel {
     }
   };
 
+  /// The section body shared by save and restore; `events` is the queue
+  /// in canonical order and `proc_io` maps each event's process.
+  template <class Self, class Ar, class Events, class ProcIo>
+  static void io(Self& self, Ar& ar, Events& events, ProcIo&& proc_io);
+
   void push(Cycle at, Process* proc, std::function<void()> fn) {
     queue_.push_back(Ev{at, seq_++, proc, std::move(fn)});
     std::push_heap(queue_.begin(), queue_.end(), Later{});

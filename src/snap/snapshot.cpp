@@ -14,35 +14,41 @@ namespace {
 constexpr char kMagic[] = "CABTSNAP";
 constexpr size_t kMagicSize = 8;
 
+/// The stream between the magic and the footer, shared by save and
+/// restore: version and board shape, the kernel (through `kernel_io`,
+/// since the process mapping runs in opposite directions), the bus with
+/// every device, then each core (architectural + micro-architectural
+/// state + memory).
+template <class Board, class Ar, class KernelIo>
+void io(Board& board, Ar& ar, KernelIo&& kernel_io) {
+  ar.expect(kFormatVersion, "format version");
+  ar.expect(static_cast<uint32_t>(board.numCores()), "core count");
+  kernel_io();
+  ar.state(board.board().bus);
+  for (size_t i = 0; i < board.numCores(); ++i) {
+    ar.state(board.core(i));
+  }
+}
+
 }  // namespace
 
 std::vector<uint8_t> save(const platform::ReferenceBoard& board) {
   serial::Writer w;
   w.bytes(kMagic, kMagicSize);
-  w.u32(kFormatVersion);
-  w.u32(static_cast<uint32_t>(board.numCores()));
-
-  // Kernel: global time and the per-process activation queue, processes
-  // identified by core index (the board's construction order).
+  // Kernel processes are identified by core index (the board's
+  // construction order).
   std::unordered_map<sim::Process*, uint32_t> index;
   for (size_t i = 0; i < board.numCores(); ++i) {
     index.emplace(board.process(i), static_cast<uint32_t>(i));
   }
-  board.kernel().saveState(w, [&index](sim::Process* p) {
-    const auto it = index.find(p);
-    CABT_CHECK(it != index.end(),
-               "kernel queue holds a process the board does not own");
-    return it->second;
+  io(board, w, [&] {
+    board.kernel().saveState(w, [&index](sim::Process* p) {
+      const auto it = index.find(p);
+      CABT_CHECK(it != index.end(),
+                 "kernel queue holds a process the board does not own");
+      return it->second;
+    });
   });
-
-  // Bus clock, transaction-log tail, all device state.
-  board.board().bus.saveState(w);
-
-  // Per-core ISS state (architectural + micro-architectural + memory).
-  for (size_t i = 0; i < board.numCores(); ++i) {
-    board.core(i).saveState(w);
-  }
-
   // Integrity footer over everything above.
   const uint64_t sum = serial::fnv1a(w.data());
   w.u64(sum);
@@ -54,7 +60,7 @@ void restore(platform::ReferenceBoard& board,
   CABT_CHECK(data.size() > kMagicSize + 4 + 8, "snapshot too short");
   const uint64_t sum = serial::fnv1a(data.data(), data.size() - 8);
   serial::Reader footer(data.data() + data.size() - 8, 8);
-  CABT_CHECK(footer.u64() == sum,
+  CABT_CHECK(footer.get<uint64_t>() == sum,
              "snapshot integrity check failed (truncated or corrupted)");
 
   serial::Reader r(data.data(), data.size() - 8);
@@ -62,22 +68,12 @@ void restore(platform::ReferenceBoard& board,
   r.bytes(magic, kMagicSize);
   CABT_CHECK(std::equal(magic, magic + kMagicSize, kMagic),
              "not a cabt snapshot (bad magic)");
-  const uint32_t version = r.u32();
-  CABT_CHECK(version == kFormatVersion,
-             "snapshot format v" << version << " is not v" << kFormatVersion);
-  const uint32_t cores = r.u32();
-  CABT_CHECK(cores == board.numCores(),
-             "snapshot has " << cores << " cores, this board has "
-                             << board.numCores());
-
-  board.kernel().restoreState(r, [&board](uint32_t i) {
-    CABT_CHECK(i < board.numCores(), "process index out of range");
-    return board.process(i);
+  io(board, r, [&] {
+    board.kernel().restoreState(r, [&board](uint32_t i) {
+      CABT_CHECK(i < board.numCores(), "process index out of range");
+      return board.process(i);
+    });
   });
-  board.board().bus.restoreState(r);
-  for (size_t i = 0; i < board.numCores(); ++i) {
-    board.core(i).restoreState(r);
-  }
   CABT_CHECK(r.remaining() == 0,
              "snapshot has " << r.remaining() << " unread trailing bytes");
 }

@@ -216,57 +216,8 @@ class SocBus {
   // itself is construction-time wiring: restore requires a bus built
   // with the identical device set, verified per device by name.
 
-  void saveState(serial::Writer& w) const {
-    w.tag("bus");
-    w.u64(soc_cycle_);
-    w.u64(dropped_transactions_);
-    w.u32(static_cast<uint32_t>(log_.size()));
-    for (const Transaction& t : log_) {
-      w.u64(t.soc_cycle);
-      w.u32(t.addr);
-      w.u32(t.value);
-      w.u8(t.size);
-      w.b(t.is_write);
-    }
-    w.u32(static_cast<uint32_t>(windows_.size()));
-    for (const Window& win : windows_) {
-      w.str(win.device->name());
-      serial::Writer dev;
-      win.device->saveState(dev);
-      w.u32(static_cast<uint32_t>(dev.size()));
-      w.bytes(dev.data().data(), dev.size());
-    }
-  }
-
-  void restoreState(serial::Reader& r) {
-    r.tag("bus");
-    soc_cycle_ = r.u64();
-    dropped_transactions_ = r.u64();
-    log_.resize(r.u32());
-    for (Transaction& t : log_) {
-      t.soc_cycle = r.u64();
-      t.addr = r.u32();
-      t.value = r.u32();
-      t.size = r.u8();
-      t.is_write = r.b();
-    }
-    const uint32_t num_devices = r.u32();
-    CABT_CHECK(num_devices == windows_.size(),
-               "snapshot has " << num_devices << " devices, this bus has "
-                               << windows_.size());
-    for (const Window& win : windows_) {
-      const std::string name = r.str();
-      CABT_CHECK(name == win.device->name(),
-                 "snapshot device '" << name << "' does not match attached '"
-                                     << win.device->name() << "'");
-      const uint32_t len = r.u32();
-      const size_t before = r.pos();
-      win.device->restoreState(r);
-      CABT_CHECK(r.pos() - before == len,
-                 "device '" << name << "' restored " << (r.pos() - before)
-                            << " bytes of a " << len << "-byte section");
-    }
-  }
+  void saveState(serial::Writer& w) const { io(*this, w); }
+  void restoreState(serial::Reader& r) { io(*this, r); }
 
  private:
   struct Window {
@@ -274,6 +225,19 @@ class SocBus {
     uint32_t base;
     uint32_t size;
   };
+
+  template <class Self, class Ar>
+  static void io(Self& self, Ar& ar) {
+    ar.tag("bus");
+    ar.fields(self.soc_cycle_, self.dropped_transactions_);
+    ar.seq(self.log_, [&ar](auto& t) {
+      ar.fields(t.soc_cycle, t.addr, t.value, t.size, t.is_write);
+    });
+    ar.expect(static_cast<uint32_t>(self.windows_.size()), "device count");
+    for (const Window& win : self.windows_) {
+      ar.framed(win.device->name(), *win.device);
+    }
+  }
 
   [[nodiscard]] const Window* findWindow(uint32_t addr) const {
     for (const Window& w : windows_) {

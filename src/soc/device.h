@@ -46,12 +46,14 @@ class Device {
   //
   // SocBus::saveState serializes every attached device through these, in
   // window-attachment order, each section framed with the device's name
-  // and a byte length (so a device whose format drifts fails loudly on
-  // restore). The defaults serialize nothing — correct for genuinely
-  // stateless devices; every stock device with observable state
-  // (peripherals.h, interrupts.h) overrides both. A device that keeps
-  // state but skips the override silently diverges after restore, which
-  // is why tests/snap_test.cpp compares full device state.
+  // and a byte length and restored from exactly those bytes (so a device
+  // whose format drifts fails loudly on restore). The defaults serialize
+  // nothing — correct for genuinely stateless devices; every stock
+  // device with observable state (peripherals.h, interrupts.h,
+  // fi/watchdog.h) overrides both as one-line calls into its one field
+  // list (common/serial.h). A device that keeps state but skips the
+  // override silently diverges after restore, which is why
+  // tests/snap_test.cpp compares full device state.
 
   virtual void saveState(serial::Writer& w) const { (void)w; }
   virtual void restoreState(serial::Reader& r) { (void)r; }

@@ -166,33 +166,23 @@ class InterruptController : public Device, public IrqSource {
   /// All interrupt state is architectural: a restored controller must
   /// deliver (or mask) exactly as the live one would, and the delivery
   /// timestamps are a compared observable of the differential fleets.
-  void saveState(serial::Writer& w) const override {
-    w.u32(raw_);
-    w.u32(enable_);
-    w.u32(vector_);
-    w.b(master_enable_);
-    w.b(in_service_);
-    w.u64(irqs_taken_);
-    w.u32(static_cast<uint32_t>(delivery_times_.size()));
-    for (const uint64_t t : delivery_times_) {
-      w.u64(t);
-    }
-  }
+  void saveState(serial::Writer& w) const override { io(*this, w); }
   void restoreState(serial::Reader& r) override {
-    raw_ = r.u32();
-    enable_ = r.u32();
-    vector_ = r.u32();
-    master_enable_ = r.b();
-    in_service_ = r.b();
-    irqs_taken_ = r.u64();
-    delivery_times_.resize(r.u32());
-    for (uint64_t& t : delivery_times_) {
-      t = r.u64();
-    }
+    io(*this, r);
+    CABT_CHECK(delivery_times_.size() <= kMaxDeliveryLog,
+               "snapshot intc delivery log of " << delivery_times_.size()
+                                                << " entries exceeds the cap");
   }
 
  private:
   static constexpr size_t kMaxDeliveryLog = 65536;
+
+  template <class Self, class Ar>
+  static void io(Self& self, Ar& ar) {
+    ar.fields(self.raw_, self.enable_, self.vector_, self.master_enable_,
+              self.in_service_, self.irqs_taken_);
+    ar.seq(self.delivery_times_, [&ar](auto& t) { ar.field(t); });
+  }
 
   uint32_t raw_ = 0;
   uint32_t enable_ = 0;
@@ -292,22 +282,16 @@ class ProgrammableTimer : public Device {
   /// IRQ routing is construction-time wiring; the counter phase
   /// (next_expiry_) is what makes restored timer behaviour a pure
   /// function of timestamps again.
-  void saveState(serial::Writer& w) const override {
-    w.u32(load_);
-    w.b(enabled_);
-    w.b(periodic_);
-    w.u64(next_expiry_);
-    w.u64(expiries_);
-  }
-  void restoreState(serial::Reader& r) override {
-    load_ = r.u32();
-    enabled_ = r.b();
-    periodic_ = r.b();
-    next_expiry_ = r.u64();
-    expiries_ = r.u64();
-  }
+  void saveState(serial::Writer& w) const override { io(*this, w); }
+  void restoreState(serial::Reader& r) override { io(*this, r); }
 
  private:
+  template <class Self, class Ar>
+  static void io(Self& self, Ar& ar) {
+    ar.fields(self.load_, self.enabled_, self.periodic_, self.next_expiry_,
+              self.expiries_);
+  }
+
   InterruptController* intc_ = nullptr;
   unsigned line_ = 0;
   uint32_t load_ = 0;

@@ -41,12 +41,17 @@ class TimerDevice : public Device {
   /// Free-running count is a pure function of elapsed time.
   void advanceTo(uint64_t from, uint64_t to) override { count_ += to - from; }
 
-  void saveState(serial::Writer& w) const override { w.u64(count_); }
-  void restoreState(serial::Reader& r) override { count_ = r.u64(); }
+  void saveState(serial::Writer& w) const override { io(*this, w); }
+  void restoreState(serial::Reader& r) override { io(*this, r); }
 
   [[nodiscard]] uint64_t count() const { return count_; }
 
  private:
+  template <class Self, class Ar>
+  static void io(Self& self, Ar& ar) {
+    ar.field(self.count_);
+  }
+
   uint64_t count_ = 0;
 };
 
@@ -70,26 +75,20 @@ class CharDevice : public Device {
 
   void advanceTo(uint64_t, uint64_t) override {}  // no per-cycle state
 
-  void saveState(serial::Writer& w) const override {
-    w.str(output_);
-    w.u32(static_cast<uint32_t>(stamps_.size()));
-    for (const uint64_t s : stamps_) {
-      w.u64(s);
-    }
-  }
-  void restoreState(serial::Reader& r) override {
-    output_ = r.str();
-    stamps_.resize(r.u32());
-    for (uint64_t& s : stamps_) {
-      s = r.u64();
-    }
-  }
+  void saveState(serial::Writer& w) const override { io(*this, w); }
+  void restoreState(serial::Reader& r) override { io(*this, r); }
 
   [[nodiscard]] const std::string& output() const { return output_; }
   /// SoC cycle at which each character was written.
   [[nodiscard]] const std::vector<uint64_t>& stamps() const { return stamps_; }
 
  private:
+  template <class Self, class Ar>
+  static void io(Self& self, Ar& ar) {
+    ar.field(self.output_);
+    ar.seq(self.stamps_, [&ar](auto& t) { ar.field(t); });
+  }
+
   std::string output_;
   std::vector<uint64_t> stamps_;
 };
@@ -114,20 +113,17 @@ class ScratchDevice : public Device {
 
   void advanceTo(uint64_t, uint64_t) override {}  // no per-cycle state
 
-  void saveState(serial::Writer& w) const override {
-    for (const uint32_t v : regs_) {
-      w.u32(v);
-    }
-  }
-  void restoreState(serial::Reader& r) override {
-    for (uint32_t& v : regs_) {
-      v = r.u32();
-    }
-  }
+  void saveState(serial::Writer& w) const override { io(*this, w); }
+  void restoreState(serial::Reader& r) override { io(*this, r); }
 
   [[nodiscard]] uint32_t reg(size_t i) const { return regs_.at(i); }
 
  private:
+  template <class Self, class Ar>
+  static void io(Self& self, Ar& ar) {
+    ar.fixed(self.regs_);
+  }
+
   std::array<uint32_t, 16> regs_{};
 };
 
@@ -188,24 +184,14 @@ class MailboxDevice : public Device {
   void advanceTo(uint64_t, uint64_t) override {}  // no per-cycle state
 
   /// Doorbell wiring is construction-time; only the FIFO and its
-  /// counters are run-time state.
-  void saveState(serial::Writer& w) const override {
-    for (const uint32_t v : fifo_) {
-      w.u32(v);
-    }
-    w.u32(static_cast<uint32_t>(head_));
-    w.u32(static_cast<uint32_t>(count_));
-    w.u64(pushes_);
-    w.u64(dropped_);
-  }
+  /// counters are run-time state. A restored head or fill count must
+  /// stay inside the FIFO, since reads index it with them.
+  void saveState(serial::Writer& w) const override { io(*this, w); }
   void restoreState(serial::Reader& r) override {
-    for (uint32_t& v : fifo_) {
-      v = r.u32();
-    }
-    head_ = r.u32();
-    count_ = r.u32();
-    pushes_ = r.u64();
-    dropped_ = r.u64();
+    io(*this, r);
+    CABT_CHECK(head_ < kDepth && count_ <= kDepth,
+               "snapshot mailbox head " << head_ << " / depth " << count_
+                                        << " out of range");
   }
 
   /// Connects doorbell index `bell` (the value software writes to offset
@@ -222,9 +208,15 @@ class MailboxDevice : public Device {
   [[nodiscard]] uint64_t dropped() const { return dropped_; }
 
  private:
+  template <class Self, class Ar>
+  static void io(Self& self, Ar& ar) {
+    ar.fixed(self.fifo_);
+    ar.fields(self.head_, self.count_, self.pushes_, self.dropped_);
+  }
+
   std::array<uint32_t, kDepth> fifo_{};
-  size_t head_ = 0;
-  size_t count_ = 0;
+  uint32_t head_ = 0;
+  uint32_t count_ = 0;
   uint64_t pushes_ = 0;
   uint64_t dropped_ = 0;
   std::vector<std::function<void()>> doorbells_;

@@ -406,5 +406,32 @@ loop:   addi16 d0, -1
   EXPECT_EQ(sum, iss.stats().cycles);
 }
 
+// The IssStats field table: the 15 architectural counters lead (the
+// digest subset and the fuzz oracle's compare), and a difference in a
+// dispatch-path counter alone is not an architectural one.
+TEST(IssStatsTable, ArchitecturalCountersLeadAndDiffNamesTheFirst) {
+  size_t architectural = 0;
+  bool past_architectural = false;
+  for (const IssStatsField& f : kIssStatsFields) {
+    if (f.architectural) {
+      EXPECT_FALSE(past_architectural) << f.name;
+      ++architectural;
+    } else {
+      past_architectural = true;
+    }
+  }
+  EXPECT_EQ(architectural, 15u);
+
+  IssStats want;
+  IssStats got;
+  got.chain_hits = 9;
+  EXPECT_EQ(firstArchitecturalDiff(want, got), nullptr);
+  got.io_writes = 2;
+  got.mispredicts = 1;
+  const IssStatsField* f = firstArchitecturalDiff(want, got);
+  ASSERT_NE(f, nullptr);
+  EXPECT_STREQ(f->name, "mispredicts");
+}
+
 }  // namespace
 }  // namespace cabt::iss

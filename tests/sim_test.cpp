@@ -13,6 +13,7 @@
 
 #include <vector>
 
+#include "common/serial.h"
 #include "platform/platform.h"
 #include "sim/kernel.h"
 #include "soc/interrupts.h"
@@ -174,6 +175,30 @@ TEST(InterruptController, TakeMaskAckEoiprotocol) {
   EXPECT_FALSE(intc.takeIrq(0).has_value());  // line 0 acked, 5 disabled
   intc.write(soc::InterruptController::kEnableOffset, 0x21, 4, 0);
   EXPECT_TRUE(intc.takeIrq(0).has_value());  // line 5 now deliverable
+}
+
+// The delivery log is capped at 65536 entries while running; a restored
+// one may not exceed the cap either.
+TEST(InterruptController, RestoreRejectsDeliveryLogBeyondTheCap) {
+  const auto section = [](size_t entries) {
+    serial::Writer w;
+    w.u32(0);  // raw
+    w.u32(0);  // enable
+    w.u32(0);  // vector
+    w.b(false);  // master enable
+    w.b(false);  // in service
+    w.u64(entries);  // irqs taken
+    w.seq(std::vector<uint64_t>(entries, 7), [&w](uint64_t t) { w.u64(t); });
+    return w.take();
+  };
+  soc::InterruptController intc;
+  const std::vector<uint8_t> at_cap = section(65536);
+  serial::Reader ok(at_cap);
+  intc.restoreState(ok);
+  EXPECT_EQ(intc.deliveryTimes().size(), 65536u);
+  const std::vector<uint8_t> over = section(65537);
+  serial::Reader bad(over);
+  EXPECT_THROW(intc.restoreState(bad), Error);
 }
 
 TEST(Mailbox, FifoOrderStatusAndDoorbell) {

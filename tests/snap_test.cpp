@@ -521,6 +521,19 @@ TEST(SnapshotFormat, SnapshotBytesArePinned) {
   }
 }
 
+/// Little-endian u32 at `at` of a snapshot image, read and written in
+/// place by the hostile-input cases below.
+uint32_t peek32(const std::vector<uint8_t>& s, size_t at) {
+  return static_cast<uint32_t>(s[at]) | static_cast<uint32_t>(s[at + 1]) << 8 |
+         static_cast<uint32_t>(s[at + 2]) << 16 |
+         static_cast<uint32_t>(s[at + 3]) << 24;
+}
+void poke32(std::vector<uint8_t>& s, size_t at, uint32_t v) {
+  for (size_t i = 0; i < 4; ++i) {
+    s[at + i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
 // Every corruption class the recovery path can meet in a ring entry,
 // table-driven. Layout under attack: magic[8] | version u32 | cores u32
 // | kernel section | bus section | per-core sections | FNV footer u64.
@@ -571,6 +584,68 @@ TEST(SnapshotFormat, TableDrivenCorruptionIsAlwaysRejected) {
        }},
       {"flipped footer byte",
        [](std::vector<uint8_t>& s) { s[s.size() - 3] ^= 0x04; }},
+      // Hostile images: the footer is recomputed, so each value must be
+      // rejected by the layer that reads it, before it can index,
+      // allocate or escape as an exit code.
+      {"icache LRU words naming no way, footer recomputed",
+       [](std::vector<uint8_t>& s) {
+         const size_t geo = afterTag(s, "icache");
+         const uint32_t sets = peek32(s, geo);
+         const size_t lru = geo + 8 + size_t{4} * sets * peek32(s, geo + 4);
+         for (uint32_t i = 0; i < sets; ++i) {
+           poke32(s, lru + 4 * i, 0x7f);
+         }
+         refootSnapshot(s);
+       }},
+      {"bus-log count 0xfffffff0, footer recomputed",
+       [](std::vector<uint8_t>& s) {
+         poke32(s, afterTag(s, "bus") + 16, 0xfffffff0u);
+         refootSnapshot(s);
+       }},
+      {"intc delivery-log count 0xfffffff0, footer recomputed",
+       [](std::vector<uint8_t>& s) {
+         // name | section length u32 | raw, enable, vector u32 | master,
+         // in-service flags | irqs_taken u64 | delivery-log count
+         poke32(s, afterTag(s, "intc0") + 4 + 12 + 2 + 8, 0xfffffff0u);
+         refootSnapshot(s);
+       }},
+      {"chardev stamp count 0xfffffff0, footer recomputed",
+       [](std::vector<uint8_t>& s) {
+         // name | section length u32 | output string | stamp count
+         const size_t out = afterTag(s, "chardev") + 4;
+         poke32(s, out + 4 + peek32(s, out), 0xfffffff0u);
+         refootSnapshot(s);
+       }},
+      {"mailbox head outside the FIFO, footer recomputed",
+       [](std::vector<uint8_t>& s) {
+         // name | section length u32 | fifo[4] u32 | head
+         poke32(s, afterTag(s, "mailbox") + 4 + 16, 9);
+         refootSnapshot(s);
+       }},
+      {"stop reason 0x77, footer recomputed",
+       [](std::vector<uint8_t>& s) {
+         s[afterTag(s, "iss") + kIssStopOffset] = 0x77;
+         refootSnapshot(s);
+       }},
+      {"in-block flag byte 2, footer recomputed",
+       [](std::vector<uint8_t>& s) {
+         s[afterTag(s, "iss") + kIssInBlockOffset] = 2;
+         refootSnapshot(s);
+       }},
+      {"memory page base not page-aligned, footer recomputed",
+       [](std::vector<uint8_t>& s) {
+         const size_t first = afterTag(s, "mem") + 4;
+         poke32(s, first, peek32(s, first) + 0x10);
+         refootSnapshot(s);
+       }},
+      {"memory page base repeated, footer recomputed",
+       [](std::vector<uint8_t>& s) {
+         const size_t pages = afterTag(s, "mem");
+         ASSERT_GE(peek32(s, pages), 2u);
+         const size_t first = pages + 4;
+         poke32(s, first + 4 + 4096, peek32(s, first));
+         refootSnapshot(s);
+       }},
   };
 
   for (const auto& [name, mutate] : kCases) {
