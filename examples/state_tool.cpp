@@ -1,7 +1,9 @@
 // Checkpoint/replay driver for the stock scenario boards: computes the
 // rolling state digests scripts/golden_state.py pins in-repo, saves and
 // resumes full platform snapshots, and self-checks the save→restore→run
-// round trip.
+// round trip. On a MISMATCH, selfcheck and recover also print the first
+// differing field (snap::firstDifference), e.g. "core1.iss.d[4]: 0x7 vs
+// 0x9".
 //
 // Usage:
 //   state_tool digest <scenario> [--level=...] [--quantum=N]
@@ -456,6 +458,10 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(want),
                   static_cast<unsigned long long>(got),
                   want == got ? "OK" : "MISMATCH");
+      if (want != got) {
+        std::printf("first difference: %s\n",
+                    snap::firstDifference(*ref, *board).c_str());
+      }
       obs_opts.finish(*board, sink, &camp);
       return want == got ? 0 : 1;
     }
@@ -534,6 +540,10 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(want),
                   static_cast<unsigned long long>(got),
                   want == got ? "OK" : "MISMATCH");
+      if (want != got) {
+        std::printf("first difference: %s\n",
+                    snap::firstDifference(*ref, *cold).c_str());
+      }
       return want == got ? 0 : 1;
     }
 

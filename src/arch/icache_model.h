@@ -116,9 +116,9 @@ class ICacheState {
     ar.tag("icache");
     ar.expect(self.model_.sets, "icache sets");
     ar.expect(self.model_.ways, "icache ways");
-    ar.fixed(self.tags_);
-    ar.fixed(self.lru_);
-    ar.fields(self.hits_, self.misses_);
+    ar.fixed("tags", self.tags_);
+    ar.fixed("lru", self.lru_);
+    ar.fields("hits misses", self.hits_, self.misses_);
   }
 
   [[nodiscard]] bool isLruWord(uint32_t word) const {

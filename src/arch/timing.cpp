@@ -18,8 +18,9 @@ void PipelineTimer::reset() {
 template <class Self, class Ar>
 void PipelineTimer::io(Self& self, Ar& ar) {
   ar.tag("pipe");
-  ar.fixed(self.ready_);
-  ar.fields(self.next_issue_, self.cycles_, self.pair_open_, self.pair_cycle_,
+  ar.fixed("ready", self.ready_);
+  ar.fields("next_issue cycles pair_open pair_cycle pair_dst",
+            self.next_issue_, self.cycles_, self.pair_open_, self.pair_cycle_,
             self.pair_dst_);
 }
 

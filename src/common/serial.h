@@ -1,9 +1,9 @@
 // Byte-stream serialization for the snapshot subsystem (src/snap):
 // little-endian integers, length-prefixed strings and sequences and raw
-// byte runs. Writer and Reader share one vocabulary — field(s), fixed,
-// bytes, seq, enumeration, expect, state, framed — so each state-bearing
-// layer (SparseMemory, PipelineTimer, ICacheState, the SoC devices,
-// SocBus, sim::Kernel, iss::Iss) writes its section format once, as one
+// byte runs. Writer and Reader share one vocabulary — named field(s),
+// fixed, bytes, seq, enumeration, expect, state, framed, hostOnly — so
+// each state-bearing layer (SparseMemory, PipelineTimer, ICacheState, the
+// SoC devices, SocBus, sim::Kernel, iss::Iss) lists its state once, as one
 //
 //   template <class Self, class Ar> static void io(Self& self, Ar& ar);
 //
@@ -15,8 +15,14 @@
 // byte other than 0/1, an out-of-range enum, a repeated set or map key
 // and a sequence count larger than the bytes left, so a truncated,
 // corrupted or mismatched snapshot never restores silently.
+//
+// A Writer in Mode::kDigest walks the same bodies for the rolling digest
+// (snap::digest): hostOnly parts are dropped. With `record` it also keeps
+// a Mark per field, whose path ("core1.iss.d[4]") tags, framed names,
+// scopes and sequence indices build, for snap::firstDifference.
 #pragma once
 
+#include <algorithm>
 #include <concepts>
 #include <cstdint>
 #include <cstring>
@@ -33,6 +39,23 @@ namespace cabt::serial {
 
 class Writer {
  public:
+  enum class Mode : uint8_t { kSnapshot, kDigest };
+
+  /// A recorded field: where it starts, its path, the address its first
+  /// byte holds (memory) and whether it is a framed section's length.
+  struct Mark {
+    size_t at;
+    std::string path;
+    uint64_t origin = 0;
+    bool frame = false;
+  };
+
+  explicit Writer(Mode mode = Mode::kSnapshot, bool record = false)
+      : digest_(mode == Mode::kDigest), record_(record) {}
+
+  [[nodiscard]] bool digesting() const { return digest_; }
+
+  // Unnamed values: sequence elements and hand-built streams.
   template <std::integral T>
   void field(T v) {
     if constexpr (std::is_same_v<T, bool>) {
@@ -54,14 +77,26 @@ class Writer {
     field(v.has_value());
     field(v.value_or(T{}));
   }
+  template <class T>
+  void field(std::string_view name, const T& v) {
+    mark(name);
+    field(v);
+  }
+  /// `names` lists the fields, space-separated.
   template <class... T>
-  void fields(const T&... v) {
-    (field(v), ...);
+  void fields(std::string_view names, const T&... v) {
+    if (!record_) {
+      (field(v), ...);
+      return;
+    }
+    (field(nextName(names), v), ...);
   }
 
   template <class R>
-  void fixed(const R& range) {
+  void fixed(std::string_view name, const R& range) {
+    size_t i = 0;
     for (const auto& v : range) {
+      mark(name, i++);
       field(v);
     }
   }
@@ -74,42 +109,95 @@ class Writer {
     out_.resize(old + n);
     std::memcpy(out_.data() + old, p, n);
   }
-  /// A byte vector of exactly `n` bytes (the Reader sizes it).
-  void bytes(const std::vector<uint8_t>& v, size_t /*n*/) {
+  /// A byte vector of exactly `n` bytes (the Reader sizes it), holding
+  /// the addresses from `origin` on.
+  void bytes(std::string_view name, const std::vector<uint8_t>& v,
+             size_t /*n*/, uint64_t origin = 0) {
+    mark(name, kNoIndex, origin);
     bytes(v.data(), v.size());
   }
 
+  /// The count under `name`, then each element under "name[i]".
   template <class C, class F>
-  void seq(const C& c, F&& each) {
-    field(static_cast<uint32_t>(c.size()));
+  void seq(std::string_view name, const C& c, F&& each) {
+    field(name, static_cast<uint32_t>(c.size()));
+    size_t i = 0;
     for (const auto& e : c) {
+      if (!record_) {
+        each(e);
+        continue;
+      }
+      const size_t len = path_.size();
+      path_ = pathOf(name, i++);
+      mark({});
       each(e);
+      path_.resize(len);
     }
   }
 
   template <class E>
-  void enumeration(E e, E /*last*/) {
-    field(static_cast<uint8_t>(e));
+  void enumeration(std::string_view name, E e, E /*last*/) {
+    field(name, static_cast<uint8_t>(e));
   }
 
   template <class T>
-  void expect(const T& v, std::string_view /*what*/) {
-    field(v);
+  void expect(const T& v, std::string_view what) {
+    field(what, v);
   }
 
   template <class L>
   void state(const L& layer) {
-    layer.saveState(*this);
+    scope({}, kNoIndex, [&] { layer.saveState(*this); });
   }
 
   /// The name, a u32 byte length, then the layer's own section.
   template <class L>
   void framed(std::string_view name, const L& layer) {
-    Writer section;
-    layer.saveState(section);
-    field(name);
-    field(static_cast<uint32_t>(section.size()));
-    bytes(section.out_.data(), section.size());
+    scope(name, kNoIndex, [&] {
+      field({}, name);
+      const size_t at = out_.size();
+      mark("size", kNoIndex, 0, true);
+      field(uint32_t{0});
+      layer.saveState(*this);
+      const auto n = static_cast<uint32_t>(out_.size() - at - 4);
+      for (size_t i = 0; i < 4; ++i) {
+        out_[at + i] = static_cast<uint8_t>(n >> (8 * i));
+      }
+    });
+  }
+
+  /// Snapshot-only state; the digest drops its bytes (a recording walk
+  /// still runs it for the path a tag inside names).
+  template <class F>
+  void hostOnly(F&& body) {
+    if (digest_ && !record_) {
+      return;
+    }
+    const size_t at = out_.size();
+    const size_t marks = marks_.size();
+    body();
+    if (digest_) {
+      out_.resize(at);
+      marks_.resize(marks);
+    }
+  }
+  /// A field that means something only while `live`; the digest writes
+  /// T{} otherwise.
+  template <class T>
+  void liveField(std::string_view name, const T& v, bool live) {
+    field(name, digest_ && !live ? T{} : v);
+  }
+
+  /// Runs `body` under the path segment `name`, plus `index` ("core1").
+  template <class F>
+  void scope(std::string_view name, size_t index, F&& body) {
+    const size_t len = path_.size();
+    if (record_) {
+      path_ = pathOf(name);
+      path_ += index == kNoIndex ? "" : std::to_string(index);
+    }
+    body();
+    path_.resize(len);
   }
 
   // Named shorthands for hand-built streams (fingerprints, the header).
@@ -121,14 +209,50 @@ class Writer {
   void str(std::string_view s) { field(s); }
   /// Section tag, verified by Reader::tag, so a layer that drifts out of
   /// sync fails at the boundary, not 200 bytes later with garbage values.
-  void tag(std::string_view t) { field(t); }
+  /// It names the rest of the layer's path.
+  void tag(std::string_view t) {
+    if (record_) {
+      path_ = pathOf(t);
+    }
+    field({}, t);
+  }
 
   [[nodiscard]] const std::vector<uint8_t>& data() const { return out_; }
   [[nodiscard]] size_t size() const { return out_.size(); }
+  [[nodiscard]] const std::vector<Mark>& marks() const { return marks_; }
   std::vector<uint8_t> take() { return std::move(out_); }
 
  private:
+  static constexpr size_t kNoIndex = ~size_t{0};
+
+  void mark(std::string_view name, size_t index = kNoIndex,
+            uint64_t origin = 0, bool frame = false) {
+    if (record_) {
+      record(name, index, origin, frame);
+    }
+  }
+  // Out of line, so the non-recording walks inline only the test above.
+  [[gnu::noinline]] void record(std::string_view name, size_t index,
+                                uint64_t origin, bool frame) {
+    marks_.push_back({out_.size(), pathOf(name, index), origin, frame});
+  }
+  [[nodiscard]] std::string pathOf(std::string_view name,
+                                   size_t index = kNoIndex) const {
+    std::string p = path_.empty() || name.empty() ? path_ : path_ + ".";
+    p += name;
+    return index == kNoIndex ? p : p + "[" + std::to_string(index) + "]";
+  }
+  static std::string_view nextName(std::string_view& names) {
+    const std::string_view name = names.substr(0, names.find(' '));
+    names.remove_prefix(std::min(name.size() + 1, names.size()));
+    return name;
+  }
+
   std::vector<uint8_t> out_;
+  bool digest_;
+  bool record_;
+  std::string path_;
+  std::vector<Mark> marks_;
 };
 
 class Reader {
@@ -165,13 +289,17 @@ class Reader {
     const T value = get<T>();
     v = has ? std::optional<T>(value) : std::nullopt;
   }
+  template <class T>
+  void field(std::string_view /*name*/, T& v) {
+    field(v);
+  }
   template <class... T>
-  void fields(T&... v) {
+  void fields(std::string_view /*names*/, T&... v) {
     (field(v), ...);
   }
 
   template <class R>
-  void fixed(R& range) {
+  void fixed(std::string_view /*name*/, R& range) {
     for (auto& v : range) {
       field(v);
     }
@@ -182,7 +310,7 @@ class Reader {
     std::memcpy(p, data_ + pos_, n);
     pos_ += n;
   }
-  void bytes(std::vector<uint8_t>& v, size_t n) {
+  void bytes(std::string_view /*name*/, std::vector<uint8_t>& v, size_t n) {
     need(n);
     v.assign(data_ + pos_, data_ + pos_ + n);
     pos_ += n;
@@ -192,7 +320,7 @@ class Reader {
   /// is rejected before anything is allocated. Vectors fill in place;
   /// sets and maps insert, and a repeated key throws.
   template <class C, class F>
-  void seq(C& c, F&& each) {
+  void seq(std::string_view /*name*/, C& c, F&& each) {
     const uint32_t n = get<uint32_t>();
     CABT_CHECK(n <= remaining(), "snapshot sequence of "
                                      << n << " elements at offset " << pos_
@@ -215,7 +343,7 @@ class Reader {
   }
 
   template <class E>
-  void enumeration(E& e, E last) {
+  void enumeration(std::string_view /*name*/, E& e, E last) {
     const uint8_t v = get<uint8_t>();
     CABT_CHECK(v <= static_cast<uint8_t>(last),
                "snapshot enum value " << +v << " out of range at offset "
@@ -257,6 +385,15 @@ class Reader {
                           << section.remaining() << " bytes of its " << len
                           << "-byte section unread");
     pos_ += len;
+  }
+
+  template <class F>
+  void hostOnly(F&& body) {
+    body();
+  }
+  template <class T>
+  void liveField(std::string_view /*name*/, T& v, bool /*live*/) {
+    field(v);
   }
 
   template <class T>

@@ -96,7 +96,10 @@ class SparseMemory {
 
   /// Serializes every touched page. Pages iterate in address order
   /// (std::map), so the byte stream is canonical for a given page set.
-  void saveState(serial::Writer& w) const { io(*this, w); }
+  /// The digest walk writes the canonical contents instead.
+  void saveState(serial::Writer& w) const {
+    w.digesting() ? writeCanonical(w) : io(*this, w);
+  }
 
   /// Replaces the full contents with a saved image.
   void restoreState(serial::Reader& r) {
@@ -121,8 +124,8 @@ class SparseMemory {
       if (all_zero) {
         continue;
       }
-      w.u32(base);
-      w.bytes(page.data(), page.size());
+      w.field("mem.page", base);
+      w.bytes("mem", page, kPageSize, base);
     }
   }
 
@@ -132,9 +135,9 @@ class SparseMemory {
   template <class Self, class Ar>
   static void io(Self& self, Ar& ar) {
     ar.tag("mem");
-    ar.seq(self.pages_, [&ar](auto& entry) {
-      ar.field(entry.first);
-      ar.bytes(entry.second, kPageSize);
+    ar.seq("pages", self.pages_, [&ar](auto& entry) {
+      ar.field("base", entry.first);
+      ar.bytes("bytes", entry.second, kPageSize);
     });
   }
 

@@ -113,7 +113,8 @@ class WatchdogDevice : public soc::Device {
  private:
   template <class Self, class Ar>
   static void io(Self& self, Ar& ar) {
-    ar.fields(self.load_, self.enabled_, self.deadline_, self.fired_);
+    ar.fields("load enabled deadline fired", self.load_, self.enabled_,
+              self.deadline_, self.fired_);
   }
 
   soc::InterruptController* intc_ = nullptr;

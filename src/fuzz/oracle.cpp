@@ -1,6 +1,5 @@
 #include "fuzz/oracle.h"
 
-#include <array>
 #include <memory>
 #include <sstream>
 
@@ -68,16 +67,13 @@ std::string forkKey(const SeedCase& c, xlat::DetailLevel level,
   return key.str();
 }
 
-/// Everything one grid run exposes for comparison.
+/// One finished grid run, kept alive for comparison. The campaign is
+/// declared first so it outlives the board its injectors are wired into.
 struct BoardObs {
+  std::unique_ptr<fi::Campaign> campaign;
+  std::unique_ptr<platform::ReferenceBoard> board;
   iss::StopReason stop = iss::StopReason::kRunning;
   uint64_t digest = 0;
-  uint64_t bus_cycle = 0;
-  std::vector<soc::Transaction> log;
-  std::vector<iss::IssStats> stats;
-  std::vector<std::array<uint32_t, 32>> regs;
-  std::vector<uint32_t> pc;
-  std::vector<std::vector<uint64_t>> irq_times;
 };
 
 BoardObs runBoard(const arch::ArchDescription& desc,
@@ -96,7 +92,9 @@ BoardObs runBoard(const arch::ArchDescription& desc,
   cfg.quantum = c.quantum;
   cfg.parallel.enabled = par;
   cfg.parallel.workers = 2;
-  platform::ReferenceBoard board(desc, ptrs, cfg);
+  BoardObs o;
+  o.board = std::make_unique<platform::ReferenceBoard>(desc, ptrs, cfg);
+  platform::ReferenceBoard& board = *o.board;
 
   // Snapshot fork: warm to the fork cycle once per (programs, config),
   // restore everywhere else. Faults arm at the fork in both paths, so
@@ -118,12 +116,12 @@ BoardObs runBoard(const arch::ArchDescription& desc,
     }
   }
 
-  fi::Campaign campaign;
+  o.campaign = std::make_unique<fi::Campaign>();
   for (const std::string& f : c.faults) {
-    campaign.add(fi::parseFaultSpec(f));
+    o.campaign->add(fi::parseFaultSpec(f));
   }
   if (!c.faults.empty()) {
-    campaign.arm(board);
+    o.campaign->arm(board);
   }
   if (coverage != nullptr) {
     for (size_t i = 0; i < board.numCores(); ++i) {
@@ -131,105 +129,35 @@ BoardObs runBoard(const arch::ArchDescription& desc,
     }
   }
 
-  BoardObs o;
   o.stop = board.run();
   o.digest = snap::digest(board);
-  o.bus_cycle = board.board().bus.socCycle();
-  o.log = board.board().bus.log();
-  for (size_t i = 0; i < board.numCores(); ++i) {
-    o.stats.push_back(board.core(i).stats());
-    std::array<uint32_t, 32> regs{};
-    for (int j = 0; j < 16; ++j) {
-      regs[static_cast<size_t>(j)] = board.core(i).d(j);
-      regs[static_cast<size_t>(j) + 16] = board.core(i).a(j);
-    }
-    o.regs.push_back(regs);
-    o.pc.push_back(board.core(i).pc());
-    o.irq_times.push_back(board.intc(i).deliveryTimes());
-  }
   return o;
 }
 
-/// Bit-exact in-level comparison; returns the first difference or "".
-std::string diffObs(const BoardObs& want, const BoardObs& got) {
-  std::ostringstream out;
-  if (got.stop != want.stop) {
-    out << "stop reason " << static_cast<int>(got.stop) << " != "
-        << static_cast<int>(want.stop);
-    return out.str();
-  }
-  // Per-core architectural counters before the digest, so a divergence
-  // names the first counter that differs instead of two hashes.
-  for (size_t i = 0; i < want.stats.size(); ++i) {
-    const iss::IssStats& a = want.stats[i];
-    const iss::IssStats& b = got.stats[i];
-    if (const iss::IssStatsField* f = iss::firstArchitecturalDiff(a, b)) {
-      out << "core " << i << " " << f->name << " " << b.*f->member
-          << " != " << a.*f->member;
-      return out.str();
-    }
-  }
-  if (got.digest != want.digest) {
-    out << "digest 0x" << std::hex << got.digest << " != 0x" << want.digest;
-    return out.str();
-  }
-  if (got.bus_cycle != want.bus_cycle) {
-    out << "bus cycle " << got.bus_cycle << " != " << want.bus_cycle;
-    return out.str();
-  }
-  if (got.log.size() != want.log.size()) {
-    out << "bus log length " << got.log.size() << " != " << want.log.size();
-    return out.str();
-  }
-  for (size_t i = 0; i < want.log.size(); ++i) {
-    const soc::Transaction& a = want.log[i];
-    const soc::Transaction& b = got.log[i];
-    if (a.soc_cycle != b.soc_cycle || a.addr != b.addr ||
-        a.value != b.value || a.size != b.size || a.is_write != b.is_write) {
-      out << "bus txn " << i << " differs (cycle " << b.soc_cycle << "/"
-          << a.soc_cycle << " addr 0x" << std::hex << b.addr << "/0x"
-          << a.addr << ")";
-      return out.str();
-    }
-  }
-  for (size_t i = 0; i < want.stats.size(); ++i) {
-    if (got.regs[i] != want.regs[i]) {
-      out << "core " << i << " registers differ";
-      return out.str();
-    }
-    if (got.pc[i] != want.pc[i]) {
-      out << "core " << i << " pc 0x" << std::hex << got.pc[i] << " != 0x"
-          << want.pc[i];
-      return out.str();
-    }
-    if (got.irq_times[i] != want.irq_times[i]) {
-      out << "core " << i << " irq delivery timestamps differ";
-      return out.str();
-    }
-  }
-  return "";
-}
-
 /// Functional (timing-independent) comparison across detail levels.
-std::string diffFunctional(const BoardObs& want, const BoardObs& got) {
+std::string diffFunctional(const platform::ReferenceBoard& want,
+                           const platform::ReferenceBoard& got) {
   std::ostringstream out;
-  for (size_t i = 0; i < want.stats.size(); ++i) {
-    if (got.stats[i].instructions != want.stats[i].instructions) {
-      out << "core " << i << " instructions "
-          << got.stats[i].instructions << " != "
-          << want.stats[i].instructions;
+  for (size_t i = 0; i < want.numCores(); ++i) {
+    const iss::Iss& w = want.core(i);
+    const iss::Iss& g = got.core(i);
+    if (g.stats().instructions != w.stats().instructions) {
+      out << "core " << i << " instructions " << g.stats().instructions
+          << " != " << w.stats().instructions;
       return out.str();
     }
-    if (got.stats[i].io_reads != want.stats[i].io_reads ||
-        got.stats[i].io_writes != want.stats[i].io_writes) {
+    if (g.stats().io_reads != w.stats().io_reads ||
+        g.stats().io_writes != w.stats().io_writes) {
       out << "core " << i << " io counts differ";
       return out.str();
     }
-    if (got.regs[i] != want.regs[i]) {
-      out << "core " << i << " registers differ";
-      return out.str();
+    for (int r = 0; r < 16; ++r) {
+      if (g.d(r) != w.d(r) || g.a(r) != w.a(r)) {
+        out << "core " << i << " registers differ";
+        return out.str();
+      }
     }
-    if (got.pc[i] != want.pc[i]) {
+    if (g.pc() != w.pc()) {
       out << "core " << i << " pc differs";
       return out.str();
     }
@@ -291,7 +219,7 @@ OracleResult runOracle(const SeedCase& c, const OracleOptions& opts,
     return result;  // invalid: mutant spins, discard
   }
   result.valid = true;
-  result.ref_cycles = ref.bus_cycle;
+  result.ref_cycles = ref.board->board().bus.socCycle();
 
   // Cycle-keyed faults land at level-dependent program points, and
   // multi-core shared-bus interleavings legitimately shift with the
@@ -303,11 +231,7 @@ OracleResult runOracle(const SeedCase& c, const OracleOptions& opts,
     // ---- the board grid: detail x dispatch x seq/par -----------------
     for (const xlat::DetailLevel level : kLevels) {
       BoardObs leader;
-      bool have_leader = false;
-      if (level == kRefLevel) {
-        leader = ref;
-        have_leader = true;
-      }
+      const BoardObs* lead = level == kRefLevel ? &ref : nullptr;
       for (const iss::DispatchMode mode : kModes) {
         for (const bool par : {false, true}) {
           if (level == kRefLevel && mode == kRefMode && !par) {
@@ -316,24 +240,23 @@ OracleResult runOracle(const SeedCase& c, const OracleOptions& opts,
           BoardObs got = runBoard(desc, ptrs, c, opts, level, mode, par,
                                   cache, nullptr);
           ++result.executions;
-          if (!have_leader) {
+          if (lead == nullptr) {
             leader = std::move(got);
-            have_leader = true;
+            lead = &leader;
             continue;
           }
-          const std::string diff = diffObs(leader, got);
-          if (!diff.empty()) {
+          if (got.digest != lead->digest) {
             std::ostringstream out;
             out << "level=" << xlat::detailLevelName(level)
                 << " dispatch=" << modeName(mode) << " par=" << par << ": "
-                << diff;
+                << snap::firstDifference(*lead->board, *got.board);
             result.mismatch = out.str();
             return result;
           }
         }
       }
       if (cross_level_ok && level != kRefLevel) {
-        const std::string diff = diffFunctional(ref, leader);
+        const std::string diff = diffFunctional(*ref.board, *lead->board);
         if (!diff.empty()) {
           result.mismatch = std::string("cross-level level=") +
                             xlat::detailLevelName(level) + ": " + diff;

@@ -8,10 +8,12 @@
 // traffic or faults, additionally against the RT-level model and the
 // translated platform at every detail level. Compared observables:
 //
-//   * within one detail level: the rolling state digest (snap::digest),
-//     the full bus transaction log, per-core architectural stats,
-//     registers, pc and the interrupt delivery timestamps — everything
-//     must be bit-identical across dispatch modes and seq/par;
+//   * within one detail level: the rolling state digest (snap::digest:
+//     registers, pc, stop reason, architectural stats, memory, the bus
+//     clock and transaction log, every device including the interrupt
+//     delivery timestamps) must be bit-identical across dispatch modes
+//     and seq/par; the level's first board stays alive, and a mismatch
+//     names the first differing field (snap::firstDifference);
 //   * across detail levels (skipped when faults are armed or when
 //     multiple cores share traffic — cycle-keyed faults and shared-bus
 //     interleavings legitimately depend on the timing model): the

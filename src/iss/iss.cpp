@@ -809,39 +809,56 @@ StopReason Iss::runLoopLookup(uint64_t time_limit) {
 
 template <class Self, class Ar>
 void Iss::io(Self& self, Ar& ar) {
-  ar.tag("iss");
-  // Compatibility record: the architectural configuration and a program
-  // fingerprint. Restore requires an identical pair — a snapshot taken
-  // at one detail level or of one program must not restore into another.
-  // Dispatch mode / block-cache knobs are deliberately absent: they are
-  // host-side strategy, and a snapshot moves freely between them.
-  ar.expect(self.config_.model_timing, "detail level (timing)");
-  ar.expect(self.config_.model_branch_extras, "detail level (branch extras)");
-  ar.expect(self.icacheOn(), "detail level (icache)");
-  ar.expect(self.config_.irq_entry_cycles, "irq entry cycles");
-  ar.expect(self.config_.max_instructions, "instruction limit");
-  // The artifact caches the fingerprint (same bytes as the
-  // historical per-save computation, see program_artifact.cpp).
-  ar.expect(self.artifact_->fingerprint(), "program fingerprint");
+  ar.hostOnly([&] {
+    ar.tag("iss");
+    // Compatibility record: the architectural configuration and a program
+    // fingerprint. Restore requires an identical pair — a snapshot taken
+    // at one detail level or of one program must not restore into another.
+    // Dispatch mode / block-cache knobs are deliberately absent: they are
+    // host-side strategy, and a snapshot moves freely between them.
+    ar.expect(self.config_.model_timing, "detail level (timing)");
+    ar.expect(self.config_.model_branch_extras,
+              "detail level (branch extras)");
+    ar.expect(self.icacheOn(), "detail level (icache)");
+    ar.expect(self.config_.irq_entry_cycles, "irq entry cycles");
+    ar.expect(self.config_.max_instructions, "instruction limit");
+    // The artifact caches the fingerprint (same bytes as the
+    // historical per-save computation, see program_artifact.cpp).
+    ar.expect(self.artifact_->fingerprint(), "program fingerprint");
+  });
   // Architectural core state.
-  ar.field(self.pc_);
-  ar.enumeration(self.stop_, StopReason::kCycleLimit);  // last enumerator
-  ar.fixed(self.d_);
-  ar.fixed(self.a_);
+  ar.field("pc", self.pc_);
+  ar.enumeration("stop", self.stop_, StopReason::kCycleLimit);
+  ar.fixed("d", self.d_);
+  ar.fixed("a", self.a_);
   // Lazy-commit cycle accounting and the open block's residue.
-  ar.fields(self.committed_cycles_, self.live_pipe_, self.in_block_,
-            self.have_line_, self.last_line_);
+  ar.fields("committed_cycles live_pipe in_block have_line",
+            self.committed_cycles_, self.live_pipe_, self.in_block_,
+            self.have_line_);
+  // Untracked, the engines leave different stale residue behind.
+  ar.liveField("last_line", self.last_line_, self.have_line_);
   auto& block = self.current_block_;
-  ar.fields(block.addr, block.pipeline_cycles, block.branch_extra,
-            block.cache_penalty);
+  ar.hostOnly([&] {
+    ar.fields("block.addr block.pipeline_cycles block.branch_extra "
+              "block.cache_penalty",
+              block.addr, block.pipeline_cycles, block.branch_extra,
+              block.cache_penalty);
+  });
   ar.state(self.timer_);
   ar.state(self.icache_);
   for (const IssStatsField& f : kIssStatsFields) {
-    ar.field(self.stats_.*f.member);
+    if (f.architectural) {
+      ar.field(f.name, self.stats_.*f.member);
+    } else {
+      ar.hostOnly([&] { ar.field(f.name, self.stats_.*f.member); });
+    }
   }
   // Debug state: the breakpoint set and a pending step-over.
-  ar.seq(self.breakpoints_, [&ar](auto& addr) { ar.field(addr); });
-  ar.field(self.skip_breakpoint_at_);
+  ar.hostOnly([&] {
+    ar.seq("breakpoints", self.breakpoints_,
+           [&ar](auto& addr) { ar.field(addr); });
+    ar.field("skip_breakpoint_at", self.skip_breakpoint_at_);
+  });
   ar.state(self.mem_);
 }
 
@@ -873,28 +890,6 @@ void Iss::restoreState(serial::Reader& r) {
   bailed_shared_ = false;
   deferred_advance_ = 0;
   skipped_samples_ = 0;
-}
-
-void Iss::digestState(serial::Writer& w) const {
-  w.field(pc_);
-  w.enumeration(stop_, StopReason::kCycleLimit);
-  w.fixed(d_);
-  w.fixed(a_);
-  w.fields(committed_cycles_, live_pipe_, in_block_, have_line_);
-  // last_line_ is meaningful only while a line is tracked; when it is
-  // not, the engines leave different stale residue behind (the stepping
-  // engine writes it per line, the block engines only on mid-block
-  // re-warm) — digest the live value only.
-  w.field(have_line_ ? last_line_ : 0);
-  timer_.saveState(w);
-  icache_.saveState(w);
-  // Architectural counters only (identical across dispatch engines).
-  for (const IssStatsField& f : kIssStatsFields) {
-    if (f.architectural) {
-      w.field(stats_.*f.member);
-    }
-  }
-  mem_.writeCanonical(w);
 }
 
 std::vector<HotBlock> Iss::hotBlocks(size_t n) const {

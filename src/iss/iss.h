@@ -135,12 +135,12 @@ struct IssStats {
   uint64_t threaded_declined = 0;
 };
 
-/// One IssStats counter: its name (the metrics leaf, the fuzz oracle's
-/// report), the member, and whether it is architectural — identical
-/// across dispatch engines and kernels, so the rolling digest and the
-/// fuzz oracle compare it. The table is in declaration order, which is
-/// the snapshot order (a new counter extends the end and bumps the
-/// snapshot format version); the architectural counters come first.
+/// One IssStats counter: its name (the metrics leaf, the snapshot path),
+/// the member, and whether it is architectural — identical across
+/// dispatch engines and kernels, so the rolling digest covers it. The
+/// table is in declaration order, which is the snapshot order (a new
+/// counter extends the end and bumps the snapshot format version); the
+/// architectural counters come first.
 struct IssStatsField {
   const char* name;
   uint64_t IssStats::*member;
@@ -178,18 +178,6 @@ inline constexpr IssStatsField kIssStatsFields[] = {
 static_assert(std::size(kIssStatsFields) * sizeof(uint64_t) ==
                   sizeof(IssStats),
               "every IssStats counter needs a kIssStatsFields entry");
-
-/// The first architectural counter in which `got` differs from `want`,
-/// or nullptr when they all agree.
-inline const IssStatsField* firstArchitecturalDiff(const IssStats& want,
-                                                   const IssStats& got) {
-  for (const IssStatsField& f : kIssStatsFields) {
-    if (f.architectural && got.*f.member != want.*f.member) {
-      return &f;
-    }
-  }
-  return nullptr;
-}
 
 /// Block-dispatch strategy of the run()/runUntil() engine (only
 /// meaningful while `use_block_cache` is true).
@@ -451,19 +439,12 @@ class Iss {
   void saveState(serial::Writer& w) const;
   void restoreState(serial::Reader& r);
 
-  /// Writes the core's contribution to the rolling state digest
-  /// (snap::digest): the architectural observables and micro-
-  /// architectural timing state only — none of the dispatch-path
-  /// counters (chain_hits, trace_*, guard_bails, private_*) that depend
-  /// on how blocks were reached — so a warm continuation and a cold
-  /// restore of the same run digest identically.
-  void digestState(serial::Writer& w) const;
-
  private:
   template <bool Timing, bool BranchX>
   friend struct ThreadedHandlers;
 
-  /// The snapshot section body shared by saveState and restoreState.
+  /// The section body shared by saveState (snapshot and digest walks)
+  /// and restoreState.
   template <class Self, class Ar>
   static void io(Self& self, Ar& ar);
 

@@ -463,8 +463,8 @@ RecoveryReport ReferenceBoard::recover() {
         continue;
       }
     }
-    // snap::restore verifies the integrity footer before mutating any
-    // state, so a corrupt entry leaves the board exactly as it was.
+    // snap::restore is transactional: an entry it rejects (a bad footer,
+    // or a footer-valid image a layer refuses) leaves the board as it was.
     try {
       snap::restore(*this, data);
     } catch (const Error& e) {

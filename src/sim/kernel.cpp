@@ -37,11 +37,12 @@ Kernel::~Kernel() = default;
 template <class Self, class Ar, class Events, class ProcIo>
 void Kernel::io(Self& self, Ar& ar, Events& events, ProcIo&& proc_io) {
   ar.tag("kernel");
-  ar.field(self.now_);
+  ar.field("now", self.now_);
   ar.expect(self.quantum_, "kernel quantum");
-  ar.fields(self.seq_, self.dispatched_, self.rounds_, self.prefixes_);
-  ar.seq(events, [&](auto& ev) {
-    ar.fields(ev.at, ev.seq);
+  ar.fields("seq dispatched rounds prefixes", self.seq_, self.dispatched_,
+            self.rounds_, self.prefixes_);
+  ar.seq("events", events, [&](auto& ev) {
+    ar.fields("at seq", ev.at, ev.seq);
     proc_io(ev.proc);
   });
 }
@@ -61,7 +62,7 @@ void Kernel::saveState(
   std::sort(sorted.begin(), sorted.end(), [](const Ev& a, const Ev& b) {
     return a.at != b.at ? a.at < b.at : a.seq < b.seq;
   });
-  io(*this, w, sorted, [&](Process* p) { w.field(index_of(p)); });
+  io(*this, w, sorted, [&](Process* p) { w.field("proc", index_of(p)); });
 }
 
 void Kernel::restoreState(

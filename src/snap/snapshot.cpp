@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <fstream>
 #include <iterator>
+#include <span>
+#include <sstream>
 #include <unordered_map>
 
 #include "common/serial.h"
@@ -30,11 +32,42 @@ void io(Board& board, Ar& ar, KernelIo&& kernel_io) {
   }
 }
 
-}  // namespace
+/// The digest walk: each core's io() body without its host-only parts,
+/// then the bus section (clock, log tail, every device).
+serial::Writer digestWalk(const platform::ReferenceBoard& board,
+                          bool record) {
+  serial::Writer w(serial::Writer::Mode::kDigest, record);
+  for (size_t i = 0; i < board.numCores(); ++i) {
+    w.scope("core", i, [&] { w.state(board.core(i)); });
+  }
+  w.state(board.board().bus);
+  return w;
+}
 
-std::vector<uint8_t> save(const platform::ReferenceBoard& board) {
-  serial::Writer w;
-  w.bytes(kMagic, kMagicSize);
+/// The bytes of mark `k`.
+std::span<const uint8_t> fieldOf(const serial::Writer& w, size_t k) {
+  const auto& m = w.marks();
+  const size_t end = k + 1 < m.size() ? m[k + 1].at : w.size();
+  return std::span(w.data()).subspan(m[k].at, end - m[k].at);
+}
+
+/// A field as hex: its value when it fits in 64 bits, else its byte at
+/// `off`.
+std::string hex(std::span<const uint8_t> f, size_t off) {
+  uint64_t v = off < f.size() ? f[off] : 0;
+  if (f.size() <= 8) {
+    v = 0;
+    for (size_t i = f.size(); i-- > 0;) {
+      v = v << 8 | f[i];
+    }
+  }
+  std::ostringstream out;
+  out << "0x" << std::hex << v;
+  return out.str();
+}
+
+/// save()'s stream without the magic and footer (restore's pre-image).
+void write(const platform::ReferenceBoard& board, serial::Writer& w) {
   // Kernel processes are identified by core index (the board's
   // construction order).
   std::unordered_map<sim::Process*, uint32_t> index;
@@ -49,6 +82,25 @@ std::vector<uint8_t> save(const platform::ReferenceBoard& board) {
       return it->second;
     });
   });
+}
+
+void read(platform::ReferenceBoard& board, serial::Reader r) {
+  io(board, r, [&] {
+    board.kernel().restoreState(r, [&board](uint32_t i) {
+      CABT_CHECK(i < board.numCores(), "process index out of range");
+      return board.process(i);
+    });
+  });
+  CABT_CHECK(r.remaining() == 0,
+             "snapshot has " << r.remaining() << " unread trailing bytes");
+}
+
+}  // namespace
+
+std::vector<uint8_t> save(const platform::ReferenceBoard& board) {
+  serial::Writer w;
+  w.bytes(kMagic, kMagicSize);
+  write(board, w);
   // Integrity footer over everything above.
   const uint64_t sum = serial::fnv1a(w.data());
   w.u64(sum);
@@ -62,32 +114,56 @@ void restore(platform::ReferenceBoard& board,
   serial::Reader footer(data.data() + data.size() - 8, 8);
   CABT_CHECK(footer.get<uint64_t>() == sum,
              "snapshot integrity check failed (truncated or corrupted)");
-
-  serial::Reader r(data.data(), data.size() - 8);
-  char magic[kMagicSize];
-  r.bytes(magic, kMagicSize);
-  CABT_CHECK(std::equal(magic, magic + kMagicSize, kMagic),
+  CABT_CHECK(std::equal(kMagic, kMagic + kMagicSize, data.begin()),
              "not a cabt snapshot (bad magic)");
-  io(board, r, [&] {
-    board.kernel().restoreState(r, [&board](uint32_t i) {
-      CABT_CHECK(i < board.numCores(), "process index out of range");
-      return board.process(i);
-    });
-  });
-  CABT_CHECK(r.remaining() == 0,
-             "snapshot has " << r.remaining() << " unread trailing bytes");
+  // Transactional: a layer that rejects its field leaves the layers
+  // before it overwritten, so the board's own pre-image goes back first.
+  serial::Writer before;
+  write(board, before);
+  try {
+    read(board, serial::Reader(data.data() + kMagicSize,
+                               data.size() - kMagicSize - 8));
+  } catch (...) {
+    read(board, serial::Reader(before.data()));
+    throw;
+  }
 }
 
 uint64_t digest(const platform::ReferenceBoard& board) {
-  serial::Writer w;
-  for (size_t i = 0; i < board.numCores(); ++i) {
-    board.core(i).digestState(w);
+  return serial::fnv1a(digestWalk(board, false).data());
+}
+
+std::string firstDifference(const platform::ReferenceBoard& a,
+                            const platform::ReferenceBoard& b) {
+  const serial::Writer wa = digestWalk(a, true);
+  const serial::Writer wb = digestWalk(b, true);
+  const auto& ma = wa.marks();
+  const auto& mb = wb.marks();
+  // Field by field: the walks agree on every mark up to the first field
+  // that differs. A framed length differs only where its contents do.
+  for (size_t k = 0; k < ma.size() && k < mb.size(); ++k) {
+    const std::span<const uint8_t> fa = fieldOf(wa, k);
+    const std::span<const uint8_t> fb = fieldOf(wb, k);
+    if (ma[k].frame || std::ranges::equal(fa, fb)) {
+      continue;
+    }
+    std::ostringstream out;
+    out << ma[k].path;
+    const auto off =
+        static_cast<size_t>(std::ranges::mismatch(fa, fb).in1 - fa.begin());
+    if (fa.size() > 8) {
+      out << "[0x" << std::hex << ma[k].origin + off << "]";
+    }
+    out << ": " << hex(fa, off) << " vs " << hex(fb, off);
+    return out.str();
   }
-  // Bus section: the clock, the log tail and every device's serialized
-  // state are all deterministic observables (the same bytes save()
-  // writes), so reusing saveState keeps the two definitions aligned.
-  board.board().bus.saveState(w);
-  return serial::fnv1a(w.data());
+  // A walk ends early only where the other has a further memory page.
+  const size_t k = std::min(ma.size(), mb.size());
+  if (k == std::max(ma.size(), mb.size())) {
+    return "";
+  }
+  return k < ma.size() ? ma[k].path + ": present vs absent"
+                       : mb[k].path + ": absent vs present";
 }
 
 void saveFile(const platform::ReferenceBoard& board,

@@ -47,18 +47,30 @@ std::vector<uint8_t> save(const platform::ReferenceBoard& board);
 /// detail level, quantum, device set) — construction-time wiring is
 /// verified, not serialized. The board may be warm (mid-run, halted) or
 /// cold (freshly constructed); either way the next run() continues
-/// bit-identically to the saved platform.
+/// bit-identically to the saved platform. Transactional: when any field
+/// is rejected the board gets its own pre-restore state back before the
+/// cabt::Error propagates.
 void restore(platform::ReferenceBoard& board,
              const std::vector<uint8_t>& data);
 
-/// 64-bit rolling digest of the platform's architectural state: per-core
-/// digestState (registers, pc, timing residue, architectural counters,
-/// canonical memory), the bus clock, the transaction-log tail and all
-/// device state. Host-side dispatch-path counters and the kernel queue
-/// are excluded, so the digest is identical across dispatch modes,
+/// 64-bit rolling digest of the platform's architectural state: the
+/// FNV-1a of the layers' io() walk in digest mode — each core (registers,
+/// pc, timing residue, architectural counters, canonical memory), then
+/// the bus clock, the transaction-log tail and all device state. The
+/// host-only parts (Iss compatibility record, open-block residue,
+/// dispatch-path counters, debug state) and the kernel queue are left
+/// out, so the digest is identical across dispatch modes,
 /// sequential/parallel kernels, and warm/cold restores of the same run —
 /// it is the value scripts/golden_state.py pins per workload.
 uint64_t digest(const platform::ReferenceBoard& board);
+
+/// Where the digests of `a` and `b` first differ: "" when they are
+/// equal, else the first differing field's path and both values
+/// ("core1.iss.d[4]: 0x7 vs 0x9"; a memory byte reads
+/// "core0.iss.mem[0x80001010]: ..."). It walks both boards with marks
+/// recorded and only reads them.
+std::string firstDifference(const platform::ReferenceBoard& a,
+                            const platform::ReferenceBoard& b);
 
 /// File convenience wrappers (the CLI and scripts use these).
 void saveFile(const platform::ReferenceBoard& board,

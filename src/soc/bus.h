@@ -229,9 +229,11 @@ class SocBus {
   template <class Self, class Ar>
   static void io(Self& self, Ar& ar) {
     ar.tag("bus");
-    ar.fields(self.soc_cycle_, self.dropped_transactions_);
-    ar.seq(self.log_, [&ar](auto& t) {
-      ar.fields(t.soc_cycle, t.addr, t.value, t.size, t.is_write);
+    ar.fields("soc_cycle dropped", self.soc_cycle_,
+              self.dropped_transactions_);
+    ar.seq("log", self.log_, [&ar](auto& t) {
+      ar.fields("soc_cycle addr value size is_write", t.soc_cycle, t.addr,
+                t.value, t.size, t.is_write);
     });
     ar.expect(static_cast<uint32_t>(self.windows_.size()), "device count");
     for (const Window& win : self.windows_) {

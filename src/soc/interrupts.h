@@ -179,9 +179,11 @@ class InterruptController : public Device, public IrqSource {
 
   template <class Self, class Ar>
   static void io(Self& self, Ar& ar) {
-    ar.fields(self.raw_, self.enable_, self.vector_, self.master_enable_,
+    ar.fields("raw enable vector master_enable in_service irqs_taken",
+              self.raw_, self.enable_, self.vector_, self.master_enable_,
               self.in_service_, self.irqs_taken_);
-    ar.seq(self.delivery_times_, [&ar](auto& t) { ar.field(t); });
+    ar.seq("delivery_times", self.delivery_times_,
+           [&ar](auto& t) { ar.field(t); });
   }
 
   uint32_t raw_ = 0;
@@ -288,7 +290,8 @@ class ProgrammableTimer : public Device {
  private:
   template <class Self, class Ar>
   static void io(Self& self, Ar& ar) {
-    ar.fields(self.load_, self.enabled_, self.periodic_, self.next_expiry_,
+    ar.fields("load enabled periodic next_expiry expiries", self.load_,
+              self.enabled_, self.periodic_, self.next_expiry_,
               self.expiries_);
   }
 

@@ -49,7 +49,7 @@ class TimerDevice : public Device {
  private:
   template <class Self, class Ar>
   static void io(Self& self, Ar& ar) {
-    ar.field(self.count_);
+    ar.field("count", self.count_);
   }
 
   uint64_t count_ = 0;
@@ -85,8 +85,8 @@ class CharDevice : public Device {
  private:
   template <class Self, class Ar>
   static void io(Self& self, Ar& ar) {
-    ar.field(self.output_);
-    ar.seq(self.stamps_, [&ar](auto& t) { ar.field(t); });
+    ar.field("output", self.output_);
+    ar.seq("stamps", self.stamps_, [&ar](auto& t) { ar.field(t); });
   }
 
   std::string output_;
@@ -121,7 +121,7 @@ class ScratchDevice : public Device {
  private:
   template <class Self, class Ar>
   static void io(Self& self, Ar& ar) {
-    ar.fixed(self.regs_);
+    ar.fixed("regs", self.regs_);
   }
 
   std::array<uint32_t, 16> regs_{};
@@ -210,8 +210,9 @@ class MailboxDevice : public Device {
  private:
   template <class Self, class Ar>
   static void io(Self& self, Ar& ar) {
-    ar.fixed(self.fifo_);
-    ar.fields(self.head_, self.count_, self.pushes_, self.dropped_);
+    ar.fixed("fifo", self.fifo_);
+    ar.fields("head count pushes dropped", self.head_, self.count_,
+              self.pushes_, self.dropped_);
   }
 
   std::array<uint32_t, kDepth> fifo_{};

@@ -153,7 +153,9 @@ BoardObs capture(platform::ReferenceBoard& board, const GridBoard& grid) {
   return s;
 }
 
-void expectIdentical(const BoardObs& got, const BoardObs& want) {
+void expectIdentical(const BoardObs& got, const BoardObs& want,
+                     const platform::ReferenceBoard& got_board,
+                     const platform::ReferenceBoard& want_board) {
   ASSERT_EQ(got.instructions.size(), want.instructions.size());
   for (size_t i = 0; i < got.instructions.size(); ++i) {
     SCOPED_TRACE("core " + std::to_string(i));
@@ -171,7 +173,9 @@ void expectIdentical(const BoardObs& got, const BoardObs& want) {
   EXPECT_EQ(got.bus_cycle, want.bus_cycle);
   EXPECT_EQ(got.scratch, want.scratch);
   EXPECT_EQ(got.kernel_events, want.kernel_events);
-  EXPECT_EQ(got.digest, want.digest) << "rolling state digest";
+  EXPECT_EQ(got.digest, want.digest)
+      << "rolling state digest: "
+      << snap::firstDifference(want_board, got_board);
   ASSERT_EQ(got.bus_log.size(), want.bus_log.size());
   for (size_t i = 0; i < got.bus_log.size(); ++i) {
     const soc::Transaction& a = got.bus_log[i];
@@ -402,7 +406,7 @@ TEST(NonPerturbation, ArmedIdleCampaignIsByteIdentical) {
     camp.add(stall);
     camp.arm(*board);
     board->run();
-    expectIdentical(capture(*board, grid), want);
+    expectIdentical(capture(*board, grid), want, *board, *ref);
     EXPECT_EQ(camp.firedCount(), 0u);
     EXPECT_EQ(board->board().bus.busFaultFires(), 0u);
 
@@ -431,6 +435,7 @@ TEST(FaultEquivalence, RegisterAndMemoryFlipsMatchAcrossEngines) {
 
   bool have_want = false;
   BoardObs want;
+  std::unique_ptr<platform::ReferenceBoard> want_board;
   for (const RunConfig& rc : engineGrid()) {
     SCOPED_TRACE(configName(rc));
     auto board = buildBoard(grid, rc);
@@ -463,8 +468,10 @@ TEST(FaultEquivalence, RegisterAndMemoryFlipsMatchAcrossEngines) {
       // The faults really happened: the fault run's digest differs from
       // the clean run's.
       EXPECT_NE(got.digest, clean_digest);
+      camp.disarm();
+      want_board = std::move(board);
     } else {
-      expectIdentical(got, want);
+      expectIdentical(got, want, *board, *want_board);
     }
   }
 }
@@ -521,6 +528,7 @@ TEST(BusError, WindowPoisonsReadsAndRaisesThePreciseTrap) {
 
   bool have_want = false;
   BoardObs want;
+  std::unique_ptr<platform::ReferenceBoard> want_board;
   for (const RunConfig& rc : engineGrid()) {
     SCOPED_TRACE(configName(rc));
     auto board = buildBoard(grid, rc);
@@ -543,8 +551,10 @@ TEST(BusError, WindowPoisonsReadsAndRaisesThePreciseTrap) {
     if (!have_want) {
       want = got;
       have_want = true;
+      camp.disarm();
+      want_board = std::move(board);
     } else {
-      expectIdentical(got, want);
+      expectIdentical(got, want, *board, *want_board);
     }
   }
 }
@@ -635,7 +645,7 @@ TEST(Watchdog, FiresOnHungGuestAndRecoveryRewindsPastTheFault) {
   // The pcset fault was consumed before the rewind: replay runs clean
   // and converges on the uninterrupted run.
   board->run();
-  expectIdentical(capture(*board, grid), want);
+  expectIdentical(capture(*board, grid), want, *board, *clean);
   EXPECT_EQ(board->watchdog().fired(), 0u) << "rewound watchdog state";
 
   obs::MetricsRegistry reg;
@@ -675,7 +685,7 @@ TEST(Recovery, AutoRecoverRewindsOnTrailDivergence) {
   EXPECT_EQ(board->divergences(), 1u);
   EXPECT_EQ(board->watchdog().fired(), 0u)
       << "divergence detection recovered before the watchdog expired";
-  expectIdentical(capture(*board, grid), want);
+  expectIdentical(capture(*board, grid), want, *board, *clean);
 }
 
 // ---- snapshot-ring corruption and graceful degradation ----------------
@@ -700,7 +710,7 @@ TEST(Recovery, CorruptRingEntriesFallBackToTheNewestIntactOne) {
   // Corrupting ring copies never touches live state: the run itself is
   // still byte-identical to the clean one. irq_ticks checkpoints at 512,
   // 1024 and 2560; the campaign corrupted the newer two.
-  expectIdentical(capture(*board, grid), want);
+  expectIdentical(capture(*board, grid), want, *board, *clean);
   ASSERT_EQ(board->checkpoints().size(), 3u);
   EXPECT_EQ(camp.ringCorruptions(), 2u);
   obs::MetricsRegistry reg;
@@ -715,7 +725,7 @@ TEST(Recovery, CorruptRingEntriesFallBackToTheNewestIntactOne) {
   EXPECT_EQ(rep.entries_corrupt, 2u);
   EXPECT_EQ(rep.resume_cycle, 512u);
   board->run();
-  expectIdentical(capture(*board, grid), want);
+  expectIdentical(capture(*board, grid), want, *board, *clean);
 }
 
 TEST(Recovery, SpilledRingRetriesUnreadableFilesThenFallsBack) {
@@ -763,7 +773,7 @@ TEST(Recovery, SpilledRingRetriesUnreadableFilesThenFallsBack) {
   EXPECT_EQ(rep.entries_corrupt, 2u);
   EXPECT_EQ(rep.io_retries, 2u) << "3 attempts on the deleted file";
   board->run();
-  expectIdentical(capture(*board, grid), want);
+  expectIdentical(capture(*board, grid), want, *board, *clean);
   std::filesystem::remove_all(dir);
 }
 

@@ -11,6 +11,9 @@
 // scenario hook diverges them.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <mutex>
+#include <string>
 #include <vector>
 
 #include "core/program_artifact.h"
@@ -79,6 +82,8 @@ struct Observed {
   uint64_t digest = 0;
   std::vector<uint32_t> checksums;
   std::vector<soc::Transaction> bus_log;
+  /// snap::firstDifference against the board it is compared with.
+  std::string diff;
 };
 
 Observed observe(const Grid& grid, platform::ReferenceBoard& board) {
@@ -93,7 +98,7 @@ Observed observe(const Grid& grid, platform::ReferenceBoard& board) {
 }
 
 void expectIdentical(const Observed& a, const Observed& b) {
-  EXPECT_EQ(a.digest, b.digest);
+  EXPECT_EQ(a.digest, b.digest) << a.diff;
   EXPECT_EQ(a.checksums, b.checksums);
   ASSERT_EQ(a.bus_log.size(), b.bus_log.size());
   for (size_t i = 0; i < a.bus_log.size(); ++i) {
@@ -115,10 +120,21 @@ TEST(Fleet, ConcurrentBoardsMatchSequentialRuns) {
   const Grid grid = makeGrid(2);
   constexpr size_t kBoards = 4;
 
-  std::vector<Observed> fleet_obs(kBoards);
   fleet::FleetConfig cfg = fleetConfig(grid, kBoards);
-  cfg.inspect = [&grid, &fleet_obs](size_t i, platform::ReferenceBoard& b) {
+  std::vector<std::unique_ptr<platform::ReferenceBoard>> seq_boards;
+  std::vector<Observed> seq_obs;
+  for (size_t i = 0; i < kBoards; ++i) {
+    seq_boards.push_back(std::make_unique<platform::ReferenceBoard>(
+        cfg.desc, grid.image_ptrs, boardConfig(grid)));
+    seq_boards.back()->run();
+    seq_obs.push_back(observe(grid, *seq_boards.back()));
+  }
+
+  // Each host thread reads only its own sequential board.
+  std::vector<Observed> fleet_obs(kBoards);
+  cfg.inspect = [&](size_t i, platform::ReferenceBoard& b) {
     fleet_obs[i] = observe(grid, b);
+    fleet_obs[i].diff = snap::firstDifference(*seq_boards[i], b);
   };
   fleet::Driver driver(cfg);
   const fleet::FleetResult result = driver.run(grid.image_ptrs);
@@ -126,14 +142,6 @@ TEST(Fleet, ConcurrentBoardsMatchSequentialRuns) {
   ASSERT_EQ(result.boards.size(), kBoards);
   EXPECT_TRUE(result.digestsAgree());
   EXPECT_GT(result.totalInstructions(), 0u);
-
-  std::vector<Observed> seq_obs;
-  for (size_t i = 0; i < kBoards; ++i) {
-    platform::ReferenceBoard board(cfg.desc, grid.image_ptrs,
-                                   boardConfig(grid));
-    board.run();
-    seq_obs.push_back(observe(grid, board));
-  }
 
   for (size_t i = 0; i < kBoards; ++i) {
     SCOPED_TRACE("board " + std::to_string(i));
@@ -174,14 +182,21 @@ TEST(Fleet, UndivergedForksMatchStraightRun) {
   straight.run();
   const uint64_t straight_digest = snap::digest(straight);
 
-  fleet::Driver driver(fleetConfig(grid, kForks));
+  fleet::FleetConfig cfg = fleetConfig(grid, kForks);
+  std::mutex diffs_mutex;  // the forks read `straight` from host threads
+  std::vector<std::string> diffs(kForks);
+  cfg.inspect = [&](size_t i, platform::ReferenceBoard& b) {
+    const std::lock_guard<std::mutex> lock(diffs_mutex);
+    diffs[i] = snap::firstDifference(straight, b);
+  };
+  fleet::Driver driver(cfg);
   const fleet::FleetResult result =
       driver.runForked(grid.image_ptrs, 512, nullptr);
 
   ASSERT_EQ(result.boards.size(), kForks);
   for (size_t i = 0; i < kForks; ++i) {
     EXPECT_EQ(result.boards[i].digest, straight_digest)
-        << "fork " << i << " diverged from the straight run";
+        << "fork " << i << " diverged from the straight run: " << diffs[i];
   }
 }
 

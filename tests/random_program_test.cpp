@@ -391,7 +391,7 @@ TEST_P(SnapshotFuzz, RandomCycleSaveRestoreBitIdentical) {
     EXPECT_EQ(got.pc[i], want.pc[i]);
   }
   EXPECT_EQ(got.bus_cycle, want.bus_cycle);
-  EXPECT_EQ(got.digest, want.digest);
+  EXPECT_EQ(got.digest, want.digest) << snap::firstDifference(*ref, *fresh);
   ASSERT_EQ(got.log.size(), want.log.size());
   for (size_t i = 0; i < want.log.size(); ++i) {
     EXPECT_EQ(got.log[i].soc_cycle, want.log[i].soc_cycle) << "txn " << i;

@@ -188,7 +188,8 @@ TEST(InterruptController, RestoreRejectsDeliveryLogBeyondTheCap) {
     w.b(false);  // master enable
     w.b(false);  // in service
     w.u64(entries);  // irqs taken
-    w.seq(std::vector<uint64_t>(entries, 7), [&w](uint64_t t) { w.u64(t); });
+    w.seq("delivery_times", std::vector<uint64_t>(entries, 7),
+          [&w](uint64_t t) { w.u64(t); });
     return w.take();
   };
   soc::InterruptController intc;

@@ -22,6 +22,7 @@
 #include <array>
 #include <functional>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -142,7 +143,9 @@ BoardObs capture(platform::ReferenceBoard& board, const GridBoard& grid) {
 /// Architectural equality only: the dispatch-path counters (cached_
 /// blocks, chain_hits, trace_*, guard_bails, private_*) legitimately
 /// differ between a warm continuation and a cold restore.
-void expectIdentical(const BoardObs& got, const BoardObs& want) {
+void expectIdentical(const BoardObs& got, const BoardObs& want,
+                     const platform::ReferenceBoard& got_board,
+                     const platform::ReferenceBoard& want_board) {
   ASSERT_EQ(got.stats.size(), want.stats.size());
   for (size_t i = 0; i < got.stats.size(); ++i) {
     SCOPED_TRACE("core " + std::to_string(i));
@@ -179,7 +182,9 @@ void expectIdentical(const BoardObs& got, const BoardObs& want) {
   EXPECT_EQ(got.mailbox_depth, want.mailbox_depth);
   EXPECT_EQ(got.scratch, want.scratch);
   EXPECT_EQ(got.kernel_events, want.kernel_events);
-  EXPECT_EQ(got.digest, want.digest) << "rolling state digest";
+  EXPECT_EQ(got.digest, want.digest)
+      << "rolling state digest: "
+      << snap::firstDifference(want_board, got_board);
   ASSERT_EQ(got.bus_log.size(), want.bus_log.size());
   for (size_t i = 0; i < got.bus_log.size(); ++i) {
     const soc::Transaction& a = got.bus_log[i];
@@ -211,7 +216,7 @@ void roundTrip(const GridBoard& grid, const RunConfig& rc) {
   saved->run();
   {
     SCOPED_TRACE("continue after save");
-    expectIdentical(capture(*saved, grid), want);
+    expectIdentical(capture(*saved, grid), want, *saved, *ref);
   }
 
   auto cold = buildBoard(grid, rc);
@@ -219,14 +224,14 @@ void roundTrip(const GridBoard& grid, const RunConfig& rc) {
   cold->run();
   {
     SCOPED_TRACE("cold restore");
-    expectIdentical(capture(*cold, grid), want);
+    expectIdentical(capture(*cold, grid), want, *cold, *ref);
   }
 
   snap::restore(*saved, snapshot);  // rewind the halted warm board
   saved->run();
   {
     SCOPED_TRACE("warm re-restore");
-    expectIdentical(capture(*saved, grid), want);
+    expectIdentical(capture(*saved, grid), want, *saved, *ref);
   }
 }
 
@@ -316,7 +321,7 @@ TEST(Replay, RunToIsChunkInvariant) {
   chunked->runTo(700);
   chunked->runTo(1900);
   chunked->runTo(sim::kForever);
-  expectIdentical(capture(*chunked, grid), want);
+  expectIdentical(capture(*chunked, grid), want, *chunked, *whole);
 }
 
 TEST(Replay, AutoSnapshotRingRetainsAndReplays) {
@@ -330,7 +335,7 @@ TEST(Replay, AutoSnapshotRingRetainsAndReplays) {
   board->setCheckpointing({512, 2, ""});
   board->run();
   // Checkpointed execution is behaviour-neutral.
-  expectIdentical(capture(*board, grid), want);
+  expectIdentical(capture(*board, grid), want, *board, *ref);
   // The ring dropped down to the 2 most recent snapshots while the
   // trail recorded every boundary, strictly increasing.
   EXPECT_EQ(board->checkpoints().size(), 2u);
@@ -344,7 +349,7 @@ TEST(Replay, AutoSnapshotRingRetainsAndReplays) {
   auto replay = buildBoard(grid, rc);
   snap::restore(*replay, board->checkpoints().front().data);
   replay->run();
-  expectIdentical(capture(*replay, grid), want);
+  expectIdentical(capture(*replay, grid), want, *replay, *ref);
   // And the digest recorded at that checkpoint matches the restored
   // board's digest before it runs (restore is digest-preserving).
   auto replay2 = buildBoard(grid, rc);
@@ -367,18 +372,85 @@ TEST(Replay, DigestIsDispatchModeIndependent) {
     rc.mode = mode;
     auto board = buildBoard(grid, rc);
     board->run();
-    EXPECT_EQ(snap::digest(*board), want);
+    EXPECT_EQ(snap::digest(*board), want)
+        << snap::firstDifference(*ref, *board);
   }
   RunConfig stepping;
   stepping.use_block_cache = false;
   auto board = buildBoard(grid, stepping);
   board->run();
-  EXPECT_EQ(snap::digest(*board), want);
+  EXPECT_EQ(snap::digest(*board), want) << snap::firstDifference(*ref, *board);
   RunConfig par;
   par.parallel = true;
   auto pboard = buildBoard(grid, par);
   pboard->run();
-  EXPECT_EQ(snap::digest(*pboard), want);
+  EXPECT_EQ(snap::digest(*pboard), want)
+      << snap::firstDifference(*ref, *pboard);
+}
+
+// ---- first difference -------------------------------------------------
+
+const std::vector<std::string> kQuad = {"mc_producer", "mc_consumer",
+                                        "mc_worker", "mc_worker"};
+
+std::string hexPair(uint64_t a, uint64_t b) {
+  std::ostringstream out;
+  out << std::hex << "0x" << a << " vs 0x" << b;
+  return out.str();
+}
+
+TEST(FirstDifference, NamesTheFieldThatDiffers) {
+  const GridBoard grid = makeBoard(kQuad);
+  auto a = buildBoard(grid, RunConfig{});
+  auto b = buildBoard(grid, RunConfig{});
+  a->runTo(3000);
+  b->runTo(3000);
+  EXPECT_EQ(snap::firstDifference(*a, *b), "");
+
+  const uint32_t d4 = a->core(1).d(4);
+  b->core(1).setD(4, d4 ^ 0x10);
+  EXPECT_EQ(snap::firstDifference(*a, *b),
+            "core1.iss.d[4]: " + hexPair(d4, d4 ^ 0x10));
+  b->core(1).setD(4, d4);
+  EXPECT_EQ(snap::firstDifference(*a, *b), "");
+
+  // A bus-visible change: the scratch device's first register.
+  const uint32_t r0 = a->board().scratch.reg(0);
+  b->board().scratch.write(0, r0 + 1, 4, b->board().bus.socCycle());
+  EXPECT_EQ(snap::firstDifference(*a, *b),
+            "bus.scratch.regs[0]: " + hexPair(r0, r0 + 1));
+}
+
+// On every golden scenario at every detail level, firstDifference finds
+// a difference exactly when the digests differ: between two boards of
+// different dispatch engines (equal) and between a finished board and
+// one stopped halfway (different).
+TEST(FirstDifference, EmptyExactlyWhenTheDigestsAgree) {
+  const std::vector<std::vector<std::string>> scenarios = {
+      {"irq_ticks"}, {"mc_producer", "mc_consumer"}, {"mc_worker"}, kQuad};
+  for (const std::vector<std::string>& programs : scenarios) {
+    const GridBoard grid = makeBoard(programs);
+    for (const xlat::DetailLevel level :
+         {xlat::DetailLevel::kFunctional, xlat::DetailLevel::kStatic,
+          xlat::DetailLevel::kBranchPredict, xlat::DetailLevel::kICache}) {
+      SCOPED_TRACE(programs.front() + " at " + xlat::detailLevelName(level));
+      RunConfig rc;
+      rc.level = level;
+      auto done = buildBoard(grid, rc);
+      done->run();
+      rc.mode = iss::DispatchMode::kThreaded;
+      auto threaded = buildBoard(grid, rc);
+      threaded->run();
+      auto half = buildBoard(grid, rc);
+      half->runTo(done->board().bus.socCycle() / 2);
+      for (const auto* other : {threaded.get(), half.get()}) {
+        EXPECT_EQ(snap::firstDifference(*done, *other).empty(),
+                  snap::digest(*done) == snap::digest(*other))
+            << snap::firstDifference(*done, *other);
+      }
+      EXPECT_FALSE(snap::firstDifference(*done, *half).empty());
+    }
+  }
 }
 
 // ---- format safety ----------------------------------------------------
@@ -423,7 +495,8 @@ TEST(SnapshotFormat, RejectsCorruptionTruncationAndMismatch) {
     target->run();
     auto ref = buildBoard(grid, rc);
     ref->run();
-    EXPECT_EQ(snap::digest(*target), snap::digest(*ref));
+    EXPECT_EQ(snap::digest(*target), snap::digest(*ref))
+        << snap::firstDifference(*ref, *target);
   }
 }
 
@@ -539,8 +612,8 @@ void poke32(std::vector<uint8_t>& s, size_t at, uint32_t v) {
 // | kernel section | bus section | per-core sections | FNV footer u64.
 // Mutations that leave the footer stale are caught by the integrity
 // check; mutations that *recompute* the footer must be caught by the
-// specific gate they target — restore() must throw either way and the
-// target board must remain usable.
+// specific gate they target — restore() must throw either way, the
+// target board must be left unchanged and must remain usable.
 TEST(SnapshotFormat, TableDrivenCorruptionIsAlwaysRejected) {
   const GridBoard grid = makeBoard({"irq_ticks"});
   const RunConfig rc;
@@ -648,20 +721,57 @@ TEST(SnapshotFormat, TableDrivenCorruptionIsAlwaysRejected) {
        }},
   };
 
+  // Restore is transactional: a rejected image leaves the live board's
+  // digest, bus log and bus cycle exactly as they were.
+  const auto expectRejected = [](platform::ReferenceBoard& target,
+                                 const std::vector<uint8_t>& bad) {
+    const uint64_t digest = snap::digest(target);
+    const std::vector<soc::Transaction> log = target.board().bus.log();
+    const uint64_t cycle = target.board().bus.socCycle();
+    EXPECT_THROW(snap::restore(target, bad), Error);
+    EXPECT_EQ(snap::digest(target), digest);
+    EXPECT_EQ(target.board().bus.socCycle(), cycle);
+    const std::vector<soc::Transaction>& now = target.board().bus.log();
+    ASSERT_EQ(now.size(), log.size());
+    for (size_t i = 0; i < log.size(); ++i) {
+      EXPECT_TRUE(now[i].soc_cycle == log[i].soc_cycle &&
+                  now[i].addr == log[i].addr &&
+                  now[i].value == log[i].value &&
+                  now[i].size == log[i].size &&
+                  now[i].is_write == log[i].is_write)
+          << "transaction " << i;
+    }
+  };
+
   for (const auto& [name, mutate] : kCases) {
     SCOPED_TRACE(name);
     std::vector<uint8_t> bad = good;
     mutate(bad);
     auto target = buildBoard(grid, rc);
-    EXPECT_THROW(snap::restore(*target, bad), Error);
-    // A rejected restore may have partially consumed the image only
-    // when the footer was valid; either way the board must still
-    // accept the intact snapshot and replay to the clean end state.
+    target->runTo(kSaveAt / 2);
+    expectRejected(*target, bad);
+    // The board still accepts the intact snapshot and replays to the
+    // clean end state.
     snap::restore(*target, good);
     target->run();
     auto ref = buildBoard(grid, rc);
     ref->run();
-    EXPECT_EQ(snap::digest(*target), snap::digest(*ref));
+    EXPECT_EQ(snap::digest(*target), snap::digest(*ref))
+        << snap::firstDifference(*ref, *target);
+  }
+
+  {  // Footer-valid but for another detail level: the kernel and bus
+     // sections load before the first core section rejects it.
+    SCOPED_TRACE("icache-level mc_quad image into a functional-level board");
+    const GridBoard quad =
+        makeBoard({"mc_producer", "mc_consumer", "mc_worker", "mc_worker"});
+    auto donor = buildBoard(quad, rc);
+    donor->runTo(6000);
+    RunConfig functional;
+    functional.level = xlat::DetailLevel::kFunctional;
+    auto target = buildBoard(quad, functional);
+    target->runTo(3000);
+    expectRejected(*target, snap::save(*donor));
   }
 }
 
@@ -696,7 +806,7 @@ TEST(SnapshotFormat, RecoverFallsThroughCorruptRingEntries) {
   EXPECT_EQ(rep.entries_corrupt, corrupted);
   EXPECT_LE(rep.resume_cycle, 600u);
   board->run();
-  expectIdentical(capture(*board, grid), want);
+  expectIdentical(capture(*board, grid), want, *board, *ref);
 }
 
 }  // namespace
