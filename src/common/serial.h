@@ -17,9 +17,9 @@
 // corrupted or mismatched snapshot never restores silently.
 //
 // A Writer in Mode::kDigest walks the same bodies for the rolling digest
-// (snap::digest): hostOnly parts are dropped. With `record` it also keeps
-// a Mark per field, whose path ("core1.iss.d[4]") tags, framed names,
-// scopes and sequence indices build, for snap::firstDifference.
+// (snap::digest): hostOnly parts are dropped. Mode::kRecord also keeps a
+// Mark per field for snap::firstDifference, whose path ("core1.iss.d[4]")
+// the names, tags, framed names and sequence indices build through push.
 #pragma once
 
 #include <algorithm>
@@ -39,33 +39,26 @@ namespace cabt::serial {
 
 class Writer {
  public:
-  enum class Mode : uint8_t { kSnapshot, kDigest };
+  /// kDigest drops the hostOnly parts (snap::digest); kRecord walks as
+  /// kDigest and also keeps a Mark per field (snap::firstDifference).
+  enum class Mode : uint8_t { kSnapshot, kDigest, kRecord };
 
-  /// A recorded field: where it starts, its path, the address its first
-  /// byte holds (memory) and whether it is a framed section's length.
+  /// A recorded field: the offset of its first byte and its path.
   struct Mark {
     size_t at;
     std::string path;
-    uint64_t origin = 0;
-    bool frame = false;
   };
 
-  explicit Writer(Mode mode = Mode::kSnapshot, bool record = false)
-      : digest_(mode == Mode::kDigest), record_(record) {}
+  explicit Writer(Mode mode = Mode::kSnapshot) : mode_(mode) {}
 
-  [[nodiscard]] bool digesting() const { return digest_; }
+  [[nodiscard]] bool digesting() const { return mode_ != Mode::kSnapshot; }
 
   // Unnamed values: sequence elements and hand-built streams.
   template <std::integral T>
   void field(T v) {
-    if constexpr (std::is_same_v<T, bool>) {
-      out_.push_back(v ? 1 : 0);
-    } else {
-      const auto u = static_cast<std::make_unsigned_t<T>>(v);
-      for (size_t i = 0; i < sizeof(T); ++i) {
-        out_.push_back(static_cast<uint8_t>(u >> (8 * i)));
-      }
-    }
+    uint8_t le[sizeof(T)];
+    put(le, v);
+    bytes(le, sizeof(T));
   }
   /// Length-prefixed string.
   void field(std::string_view s) {
@@ -82,14 +75,18 @@ class Writer {
     mark(name);
     field(v);
   }
-  /// `names` lists the fields, space-separated.
-  template <class... T>
+  /// `names` lists the integers, space-separated. Unless recording,
+  /// they are appended as one run (a bus-log entry is one append).
+  template <std::integral... T>
   void fields(std::string_view names, const T&... v) {
-    if (!record_) {
-      (field(v), ...);
+    if (mode_ == Mode::kRecord) {
+      (field(nextName(names), v), ...);
       return;
     }
-    (field(nextName(names), v), ...);
+    uint8_t le[(sizeof(T) + ...)];
+    size_t at = 0;
+    ((put(le + at, v), at += sizeof(T)), ...);
+    bytes(le, sizeof(le));
   }
 
   template <class R>
@@ -109,11 +106,10 @@ class Writer {
     out_.resize(old + n);
     std::memcpy(out_.data() + old, p, n);
   }
-  /// A byte vector of exactly `n` bytes (the Reader sizes it), holding
-  /// the addresses from `origin` on.
+  /// A byte vector of exactly `n` bytes (the Reader sizes it).
   void bytes(std::string_view name, const std::vector<uint8_t>& v,
-             size_t /*n*/, uint64_t origin = 0) {
-    mark(name, kNoIndex, origin);
+             size_t /*n*/) {
+    mark(name);
     bytes(v.data(), v.size());
   }
 
@@ -121,17 +117,18 @@ class Writer {
   template <class C, class F>
   void seq(std::string_view name, const C& c, F&& each) {
     field(name, static_cast<uint32_t>(c.size()));
+    if (mode_ != Mode::kRecord) {
+      for (const auto& e : c) {
+        each(e);
+      }
+      return;
+    }
     size_t i = 0;
     for (const auto& e : c) {
-      if (!record_) {
-        each(e);
-        continue;
-      }
-      const size_t len = path_.size();
-      path_ = pathOf(name, i++);
+      const size_t len = push(name, i++);
       mark({});
       each(e);
-      path_.resize(len);
+      pop(len);
     }
   }
 
@@ -145,38 +142,42 @@ class Writer {
     field(what, v);
   }
 
+  /// The layer's section; the path its tag names ends with it.
   template <class L>
   void state(const L& layer) {
-    scope({}, kNoIndex, [&] { layer.saveState(*this); });
+    const size_t len = path_.size();
+    layer.saveState(*this);
+    pop(len);
   }
 
-  /// The name, a u32 byte length, then the layer's own section.
+  /// The name, a u32 byte length, then the layer's own section. The
+  /// recording walk leaves the length out: the contents decide it.
   template <class L>
   void framed(std::string_view name, const L& layer) {
-    scope(name, kNoIndex, [&] {
-      field({}, name);
+    const size_t len = push(name);
+    field({}, name);
+    if (mode_ == Mode::kRecord) {
+      layer.saveState(*this);
+    } else {
       const size_t at = out_.size();
-      mark("size", kNoIndex, 0, true);
       field(uint32_t{0});
       layer.saveState(*this);
-      const auto n = static_cast<uint32_t>(out_.size() - at - 4);
-      for (size_t i = 0; i < 4; ++i) {
-        out_[at + i] = static_cast<uint8_t>(n >> (8 * i));
-      }
-    });
+      put(out_.data() + at, static_cast<uint32_t>(out_.size() - at - 4));
+    }
+    pop(len);
   }
 
   /// Snapshot-only state; the digest drops its bytes (a recording walk
   /// still runs it for the path a tag inside names).
   template <class F>
   void hostOnly(F&& body) {
-    if (digest_ && !record_) {
+    if (mode_ == Mode::kDigest) {
       return;
     }
     const size_t at = out_.size();
     const size_t marks = marks_.size();
     body();
-    if (digest_) {
+    if (mode_ == Mode::kRecord) {
       out_.resize(at);
       marks_.resize(marks);
     }
@@ -185,20 +186,26 @@ class Writer {
   /// T{} otherwise.
   template <class T>
   void liveField(std::string_view name, const T& v, bool live) {
-    field(name, digest_ && !live ? T{} : v);
+    field(name, digesting() && !live ? T{} : v);
   }
 
-  /// Runs `body` under the path segment `name`, plus `index` ("core1").
-  template <class F>
-  void scope(std::string_view name, size_t index, F&& body) {
+  /// Appends ".name" and "[index]" to a recording walk's path (or just
+  /// the index digits, `bare`: "core1"); returns the length to cut the
+  /// path back to.
+  size_t push(std::string_view name, size_t index = kNoIndex,
+              bool bare = false) {
     const size_t len = path_.size();
-    if (record_) {
-      path_ = pathOf(name);
-      path_ += index == kNoIndex ? "" : std::to_string(index);
+    if (mode_ == Mode::kRecord) {
+      path_ += len == 0 || name.empty() ? "" : ".";
+      path_ += name;
+      if (index != kNoIndex) {
+        path_ += bare ? std::to_string(index)
+                      : "[" + std::to_string(index) + "]";
+      }
     }
-    body();
-    path_.resize(len);
+    return len;
   }
+  void pop(size_t len) { path_.resize(len); }
 
   // Named shorthands for hand-built streams (fingerprints, the header).
   void u8(uint8_t v) { field(v); }
@@ -211,9 +218,7 @@ class Writer {
   /// sync fails at the boundary, not 200 bytes later with garbage values.
   /// It names the rest of the layer's path.
   void tag(std::string_view t) {
-    if (record_) {
-      path_ = pathOf(t);
-    }
+    push(t);
     field({}, t);
   }
 
@@ -225,22 +230,24 @@ class Writer {
  private:
   static constexpr size_t kNoIndex = ~size_t{0};
 
-  void mark(std::string_view name, size_t index = kNoIndex,
-            uint64_t origin = 0, bool frame = false) {
-    if (record_) {
-      record(name, index, origin, frame);
+  void mark(std::string_view name, size_t index = kNoIndex) {
+    if (mode_ == Mode::kRecord) {
+      record(name, index);
     }
   }
-  // Out of line, so the non-recording walks inline only the test above.
-  [[gnu::noinline]] void record(std::string_view name, size_t index,
-                                uint64_t origin, bool frame) {
-    marks_.push_back({out_.size(), pathOf(name, index), origin, frame});
+  // Out of line, so the other walks inline only the test above.
+  [[gnu::noinline]] void record(std::string_view name, size_t index) {
+    const size_t len = push(name, index);
+    marks_.push_back({out_.size(), path_});
+    pop(len);
   }
-  [[nodiscard]] std::string pathOf(std::string_view name,
-                                   size_t index = kNoIndex) const {
-    std::string p = path_.empty() || name.empty() ? path_ : path_ + ".";
-    p += name;
-    return index == kNoIndex ? p : p + "[" + std::to_string(index) + "]";
+  /// Little-endian; a bool is one byte, 0 or 1.
+  template <std::integral T>
+  static void put(uint8_t* p, T v) {
+    const auto u = static_cast<uint64_t>(v);
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      p[i] = static_cast<uint8_t>(u >> (8 * i));
+    }
   }
   static std::string_view nextName(std::string_view& names) {
     const std::string_view name = names.substr(0, names.find(' '));
@@ -249,8 +256,7 @@ class Writer {
   }
 
   std::vector<uint8_t> out_;
-  bool digest_;
-  bool record_;
+  Mode mode_;
   std::string path_;
   std::vector<Mark> marks_;
 };

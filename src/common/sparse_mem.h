@@ -125,7 +125,7 @@ class SparseMemory {
         continue;
       }
       w.field("mem.page", base);
-      w.bytes("mem", page, kPageSize, base);
+      w.bytes("mem", page, kPageSize);
     }
   }
 

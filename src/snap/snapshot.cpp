@@ -35,10 +35,12 @@ void io(Board& board, Ar& ar, KernelIo&& kernel_io) {
 /// The digest walk: each core's io() body without its host-only parts,
 /// then the bus section (clock, log tail, every device).
 serial::Writer digestWalk(const platform::ReferenceBoard& board,
-                          bool record) {
-  serial::Writer w(serial::Writer::Mode::kDigest, record);
+                          serial::Writer::Mode mode) {
+  serial::Writer w(mode);
   for (size_t i = 0; i < board.numCores(); ++i) {
-    w.scope("core", i, [&] { w.state(board.core(i)); });
+    const size_t len = w.push("core", i, /*bare=*/true);
+    w.state(board.core(i));
+    w.pop(len);
   }
   w.state(board.board().bus);
   return w;
@@ -51,19 +53,13 @@ std::span<const uint8_t> fieldOf(const serial::Writer& w, size_t k) {
   return std::span(w.data()).subspan(m[k].at, end - m[k].at);
 }
 
-/// A field as hex: its value when it fits in 64 bits, else its byte at
-/// `off`.
-std::string hex(std::span<const uint8_t> f, size_t off) {
-  uint64_t v = off < f.size() ? f[off] : 0;
-  if (f.size() <= 8) {
-    v = 0;
-    for (size_t i = f.size(); i-- > 0;) {
-      v = v << 8 | f[i];
-    }
+/// A little-endian field of up to 8 bytes.
+uint64_t value(std::span<const uint8_t> f) {
+  uint64_t v = 0;
+  for (size_t i = f.size(); i-- > 0;) {
+    v = v << 8 | f[i];
   }
-  std::ostringstream out;
-  out << "0x" << std::hex << v;
-  return out.str();
+  return v;
 }
 
 /// save()'s stream without the magic and footer (restore's pre-image).
@@ -130,40 +126,47 @@ void restore(platform::ReferenceBoard& board,
 }
 
 uint64_t digest(const platform::ReferenceBoard& board) {
-  return serial::fnv1a(digestWalk(board, false).data());
+  return serial::fnv1a(digestWalk(board, serial::Writer::Mode::kDigest).data());
 }
 
 std::string firstDifference(const platform::ReferenceBoard& a,
                             const platform::ReferenceBoard& b) {
-  const serial::Writer wa = digestWalk(a, true);
-  const serial::Writer wb = digestWalk(b, true);
+  const serial::Writer wa = digestWalk(a, serial::Writer::Mode::kRecord);
+  const serial::Writer wb = digestWalk(b, serial::Writer::Mode::kRecord);
   const auto& ma = wa.marks();
   const auto& mb = wb.marks();
-  // Field by field: the walks agree on every mark up to the first field
-  // that differs. A framed length differs only where its contents do.
-  for (size_t k = 0; k < ma.size() && k < mb.size(); ++k) {
-    const std::span<const uint8_t> fa = fieldOf(wa, k);
-    const std::span<const uint8_t> fb = fieldOf(wb, k);
-    if (ma[k].frame || std::ranges::equal(fa, fb)) {
+  // The walks agree mark by mark up to the first field that differs; one
+  // ends early only where the other has a further memory page.
+  for (size_t k = 0; k < std::max(ma.size(), mb.size()); ++k) {
+    if (k == ma.size() || k == mb.size()) {
+      return k < ma.size() ? ma[k].path + ": present vs absent"
+                           : mb[k].path + ": absent vs present";
+    }
+    std::span<const uint8_t> fa = fieldOf(wa, k);
+    std::span<const uint8_t> fb = fieldOf(wb, k);
+    if (std::ranges::equal(fa, fb)) {
       continue;
     }
     std::ostringstream out;
-    out << ma[k].path;
-    const auto off =
-        static_cast<size_t>(std::ranges::mismatch(fa, fb).in1 - fa.begin());
-    if (fa.size() > 8) {
-      out << "[0x" << std::hex << ma[k].origin + off << "]";
+    out << ma[k].path << std::hex;
+    if (std::max(fa.size(), fb.size()) > 8) {
+      // A memory page (after its base, "mem.page") names the address of
+      // its first differing byte; a string, that byte's offset from the
+      // start of its length prefix.
+      const auto off = static_cast<size_t>(
+          std::ranges::mismatch(fa, fb).in1 - fa.begin());
+      if (k > 0 && ma[k - 1].path == ma[k].path + ".page") {
+        out << "[0x" << value(fieldOf(wa, k - 1)) + off << "]";
+      } else {
+        out << " at byte " << std::dec << off << std::hex;
+      }
+      fa = fa.subspan(off, 1);
+      fb = fb.subspan(off, 1);
     }
-    out << ": " << hex(fa, off) << " vs " << hex(fb, off);
+    out << ": 0x" << value(fa) << " vs 0x" << value(fb);
     return out.str();
   }
-  // A walk ends early only where the other has a further memory page.
-  const size_t k = std::min(ma.size(), mb.size());
-  if (k == std::max(ma.size(), mb.size())) {
-    return "";
-  }
-  return k < ma.size() ? ma[k].path + ": present vs absent"
-                       : mb[k].path + ": absent vs present";
+  return "";
 }
 
 void saveFile(const platform::ReferenceBoard& board,

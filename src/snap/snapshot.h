@@ -49,7 +49,7 @@ std::vector<uint8_t> save(const platform::ReferenceBoard& board);
 /// cold (freshly constructed); either way the next run() continues
 /// bit-identically to the saved platform. Transactional: when any field
 /// is rejected the board gets its own pre-restore state back before the
-/// cabt::Error propagates.
+/// cabt::Error propagates (the pre-image costs one save per restore).
 void restore(platform::ReferenceBoard& board,
              const std::vector<uint8_t>& data);
 
@@ -67,8 +67,9 @@ uint64_t digest(const platform::ReferenceBoard& board);
 /// Where the digests of `a` and `b` first differ: "" when they are
 /// equal, else the first differing field's path and both values
 /// ("core1.iss.d[4]: 0x7 vs 0x9"; a memory byte reads
-/// "core0.iss.mem[0x80001010]: ..."). It walks both boards with marks
-/// recorded and only reads them.
+/// "core0.iss.mem[0x80001010]: ...", a string "bus.chardev.output at
+/// byte 7: ..."). It walks both boards in Writer::Mode::kRecord and only
+/// reads them.
 std::string firstDifference(const platform::ReferenceBoard& a,
                             const platform::ReferenceBoard& b);
 

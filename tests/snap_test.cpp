@@ -419,6 +419,15 @@ TEST(FirstDifference, NamesTheFieldThatDiffers) {
   b->board().scratch.write(0, r0 + 1, 4, b->board().bus.socCycle());
   EXPECT_EQ(snap::firstDifference(*a, *b),
             "bus.scratch.regs[0]: " + hexPair(r0, r0 + 1));
+
+  // A memory byte (cores come before the bus): its address.
+  const uint32_t at = a->core(0).pc() + 1;
+  const uint8_t byte = a->core(0).memory().read8(at);
+  b->core(0).memory().write8(at, byte ^ 0x5a);
+  std::ostringstream where;
+  where << "core0.iss.mem[0x" << std::hex << at << "]: ";
+  EXPECT_EQ(snap::firstDifference(*a, *b),
+            where.str() + hexPair(byte, byte ^ 0x5a));
 }
 
 // On every golden scenario at every detail level, firstDifference finds
@@ -743,35 +752,46 @@ TEST(SnapshotFormat, TableDrivenCorruptionIsAlwaysRejected) {
     }
   };
 
+  // Each image is offered to a cold board (what every fork and resume
+  // restores into) and to one run halfway to the save point.
+  auto ref = buildBoard(grid, rc);
+  ref->run();
   for (const auto& [name, mutate] : kCases) {
-    SCOPED_TRACE(name);
     std::vector<uint8_t> bad = good;
     mutate(bad);
-    auto target = buildBoard(grid, rc);
-    target->runTo(kSaveAt / 2);
-    expectRejected(*target, bad);
-    // The board still accepts the intact snapshot and replays to the
-    // clean end state.
-    snap::restore(*target, good);
-    target->run();
-    auto ref = buildBoard(grid, rc);
-    ref->run();
-    EXPECT_EQ(snap::digest(*target), snap::digest(*ref))
-        << snap::firstDifference(*ref, *target);
+    for (const sim::Cycle warm_to : {sim::Cycle{0}, kSaveAt / 2}) {
+      SCOPED_TRACE(name + " into a board at cycle " +
+                   std::to_string(warm_to));
+      auto target = buildBoard(grid, rc);
+      if (warm_to > 0) {
+        target->runTo(warm_to);
+      }
+      expectRejected(*target, bad);
+      // The board still accepts the intact snapshot and replays to the
+      // clean end state.
+      snap::restore(*target, good);
+      target->run();
+      EXPECT_EQ(snap::digest(*target), snap::digest(*ref))
+          << snap::firstDifference(*ref, *target);
+    }
   }
 
-  {  // Footer-valid but for another detail level: the kernel and bus
-     // sections load before the first core section rejects it.
-    SCOPED_TRACE("icache-level mc_quad image into a functional-level board");
-    const GridBoard quad =
-        makeBoard({"mc_producer", "mc_consumer", "mc_worker", "mc_worker"});
-    auto donor = buildBoard(quad, rc);
-    donor->runTo(6000);
-    RunConfig functional;
-    functional.level = xlat::DetailLevel::kFunctional;
+  // Footer-valid but for another detail level: the kernel and bus
+  // sections load before the first core section rejects it.
+  const GridBoard quad = makeBoard(kQuad);
+  auto donor = buildBoard(quad, rc);
+  donor->runTo(6000);
+  const std::vector<uint8_t> icache_image = snap::save(*donor);
+  RunConfig functional;
+  functional.level = xlat::DetailLevel::kFunctional;
+  for (const sim::Cycle warm_to : {sim::Cycle{0}, sim::Cycle{3000}}) {
+    SCOPED_TRACE("icache-level mc_quad image into a functional-level board "
+                 "at cycle " + std::to_string(warm_to));
     auto target = buildBoard(quad, functional);
-    target->runTo(3000);
-    expectRejected(*target, snap::save(*donor));
+    if (warm_to > 0) {
+      target->runTo(warm_to);
+    }
+    expectRejected(*target, icache_image);
   }
 }
 
