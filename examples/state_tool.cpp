@@ -20,7 +20,7 @@
 //                      [--to=N] [...common flags]
 //
 // `--dispatch=lookup|chained|traces|threaded` selects the ISS dispatch
-// engine (default: the detail level's stock engine). With selfcheck it
+// engine (default: IssConfig's, threaded). With selfcheck it
 // exercises the cold-restore path of that engine from the CLI — e.g.
 // `--dispatch=threaded` restores into a board whose block cache (and
 // with it every lowered threaded-code program) starts empty.

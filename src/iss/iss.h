@@ -214,9 +214,10 @@ struct IssConfig {
   /// pre-block-cache behaviour; kept for differential testing and for
   /// debugger-style consumers that want stepping semantics throughout).
   bool use_block_cache = true;
-  /// Block-dispatch strategy; kLookup/kChained exist for differential
-  /// testing and the dispatch ablation.
-  DispatchMode dispatch_mode = DispatchMode::kChainedTraces;
+  /// Block-dispatch strategy: threaded code, the fastest engine.
+  /// kLookup/kChained/kChainedTraces exist for differential testing, the
+  /// dispatch ablation and perfbench's fuzz_farm grid.
+  DispatchMode dispatch_mode = DispatchMode::kThreaded;
   /// A block heads a superblock trace once dispatched this many times
   /// (kChainedTraces only). The formation limits are fixed: see
   /// core::TraceOptions.

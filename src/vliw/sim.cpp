@@ -11,6 +11,16 @@ namespace cabt::vliw {
 /// Bound on the address range the code may span: the pc->packet index
 /// holds one entry per word of it.
 constexpr uint32_t kMaxCodeSpan = 16u << 20;
+constexpr uint32_t kMaxRunPackets = 64;  ///< outside a branch's delay slots
+
+// Errors thrown out of line, so that the issue loop keeps a small frame.
+[[noreturn, gnu::cold, gnu::noinline]] void fail(const char* what) {
+  detail::throwError("V6xSim::run", what);
+}
+[[noreturn, gnu::cold, gnu::noinline]] void doubleWrite(uint8_t reg) {
+  CABT_FAIL("two in-flight writes to " << regName(reg)
+                                       << " commit in the same cycle");
+}
 
 V6xSim::V6xSim() = default;
 
@@ -56,6 +66,32 @@ void V6xSim::loadProgram(const elf::Object& image) {
   packet_at_.assign((hi - lo) / 4 + 1, 0);
   for (size_t i = packets_.size(); i-- > 0;) {  // the first of duplicates wins
     packet_at_[(packets_[i].addr - lo) / 4] = static_cast<uint32_t>(i + 1);
+  }
+  // Packet runs (DESIGN.md 5.5). Forward: own issue cycles, and run_end =
+  // i where a run ends (a predicated NOP ends one), else i + 1.
+  uint32_t len = 0;
+  uint64_t left = 0;  // slots until an in-run branch redirects; 0 = none
+  for (uint32_t i = 0; i < decoded_.size(); ++i) {
+    DecodedPacket& d = decoded_[i];
+    bool end = ++len >= kMaxRunPackets && left == 0;
+    for (const Op* op = &ops_[d.first]; op != &ops_[d.first] + d.count; ++op) {
+      d.run_cycles = op->opc == VOpc::kNop ? op->imm : d.run_cycles;
+      end = end || op->opc == VOpc::kHalt || op->opc == VOpc::kYield ||
+            (op->opc == VOpc::kNop && op->pred != kZeroReg);
+      left = isBranch(op->opc) && left == 0 ? op->delay + 1u : left;
+    }
+    end = end || (left != 0 && left <= d.run_cycles) ||
+          packetSlot(d.addr + d.count * 4) != i + 2;
+    left = left > d.run_cycles ? left - d.run_cycles : 0;
+    len = end ? 0 : len;
+    d.run_end = end ? i : i + 1;
+  }
+  // Backward: suffix sums, so that a run can be entered at any packet.
+  for (auto i = static_cast<uint32_t>(decoded_.size()); i-- > 0;) {
+    if (decoded_[i].run_end != i) {
+      decoded_[i].run_end = decoded_[i + 1].run_end;
+      decoded_[i].run_cycles += decoded_[i + 1].run_cycles;
+    }
   }
   pc_ = image.entry;
   state_ = RunState::kRunning;
@@ -109,7 +145,7 @@ bool V6xSim::devicesReady(const DecodedPacket& packet) {
     }
     const uint32_t addr = regs_[op.src1] + static_cast<uint32_t>(op.imm);
     IoHandler* h = handlerFor(addr);
-    if (h != nullptr && !h->ready(addr, isStore(op.opc))) {
+    if (h != nullptr && !h->ready(addr, op.opc >= VOpc::kStw)) {
       return false;
     }
   }
@@ -139,14 +175,15 @@ void V6xSim::scheduleWrite(uint8_t reg, uint32_t value,
                            unsigned extra_slots) {
   WriteSlot& s = ring_[(stats_.issue_cycles + 1 + extra_slots) % kRingSlots];
   const uint64_t bit = uint64_t{1} << reg;
-  CABT_CHECK((s.mask & bit) == 0, "two in-flight writes to "
-                                      << regName(reg)
-                                      << " commit in the same cycle");
+  if ((s.mask & bit) != 0) {
+    doubleWrite(reg);
+  }
   s.mask |= bit;
   s.value[reg] = value;
 }
 
-void V6xSim::issuePacket(const DecodedPacket& packet) {
+[[gnu::always_inline]] inline void V6xSim::issuePacket(
+    const DecodedPacket& packet) {
   ++stats_.packets;
   stats_.ops += packet.count;
 
@@ -254,8 +291,9 @@ void V6xSim::issuePacket(const DecodedPacket& packet) {
       }
       case VOpc::kB:
       case VOpc::kBr: {
-        CABT_CHECK(!branch_pending_,
-                   "branch issued while another branch is in flight");
+        if (branch_pending_) {
+          fail("branch issued while another branch is in flight");
+        }
         branch_pending_ = true;
         branch_target_ =
             op.opc == VOpc::kB ? static_cast<uint32_t>(op.imm) : s1;
@@ -285,21 +323,60 @@ void V6xSim::issuePacket(const DecodedPacket& packet) {
         state_ = RunState::kYielded;
         break;
       default:
-        CABT_FAIL("unhandled V6X opcode");
+        fail("unhandled V6X opcode");
     }
   }
   pc_ = packet.addr + packet.count * 4;
 }
 
+void V6xSim::idle(uint64_t n) {
+  stats_.cycles += n;  // slots past the ring's reach commit nothing
+  idle_cycles_ -= static_cast<unsigned>(n);
+  for (uint64_t i = 0; i < std::min<uint64_t>(n, kRingSlots); ++i) {
+    commitSlot(stats_.issue_cycles + i);
+  }
+  advanceIssueSlots(n);
+}
+
+void V6xSim::issue(bool whole_run, uint64_t budget) {
+  // Commit the writes due in this issue slot before anything reads the
+  // register state (including the device-readiness pre-check).
+  ++stats_.cycles;
+  commitSlot(stats_.issue_cycles);
+  const DecodedPacket& first = fetch(pc_);
+  auto k = static_cast<uint32_t>(&first - decoded_.data());
+  // The whole run if it fits the budget and a branch in flight redirects
+  // no earlier than in its last packet.
+  whole_run = whole_run && first.run_cycles <= budget &&
+              (!branch_pending_ ||
+               branch_remaining_ + decoded_[first.run_end].run_cycles >=
+                   first.run_cycles);
+  for (const uint32_t end = whole_run ? first.run_end : k;; ++k) {
+    const DecodedPacket& packet = decoded_[k];
+    if (packet.has_mem && !devicesReady(packet)) {
+      ++stats_.stall_cycles;  // whole-machine stall
+      return;
+    }
+    issuePacket(packet);
+    advanceIssueSlots(1);
+    if (k == end) {  // HALT and YIELD end their runs
+      return;  // run() idles the last packet's NOP tail
+    }
+    if (idle_cycles_ > 0) {
+      idle(idle_cycles_);
+    }
+    ++stats_.cycles;
+    commitSlot(stats_.issue_cycles);
+  }
+}
+
 void V6xSim::advanceIssueSlots(uint64_t n) {
   stats_.issue_cycles += n;
-  if (branch_pending_) {
-    if (branch_remaining_ < n) {
-      pc_ = branch_target_;
-      branch_pending_ = false;
-    } else {
-      branch_remaining_ -= static_cast<unsigned>(n);
-    }
+  if (branch_pending_ && branch_remaining_ < n) {
+    pc_ = branch_target_;
+    branch_pending_ = false;
+  } else if (branch_pending_) {
+    branch_remaining_ -= static_cast<unsigned>(n);
   }
 }
 
@@ -318,44 +395,22 @@ RunState V6xSim::run(uint64_t max_cycles) {
     if (budget == 0) {
       return RunState::kMaxCycles;
     }
-    if (idle_cycles_ > 0) {
-      // Tail cycles of a multi-cycle NOP: issue slots without a packet,
-      // as many as the budget allows in one step. Each passed slot
-      // commits its writes; slots past the ring's reach hold none.
+    if (idle_cycles_ > 0) {  // as much of a NOP tail as the budget allows
       const uint64_t n = std::min<uint64_t>(idle_cycles_, budget);
       budget -= n;
-      stats_.cycles += n;
-      idle_cycles_ -= static_cast<unsigned>(n);
-      for (uint64_t i = 0; i < std::min<uint64_t>(n, kRingSlots); ++i) {
-        commitSlot(stats_.issue_cycles + i);
-      }
-      advanceIssueSlots(n);
+      idle(n);
       continue;
     }
-    --budget;
-    ++stats_.cycles;
-
-    // Commit the writes due in this issue slot before anything reads the
-    // register state (including the device-readiness pre-check).
-    commitSlot(stats_.issue_cycles);
-
-    if (!breakpoints_.empty() && !step_over_breakpoint_ &&
-        breakpoints_.count(pc_) != 0) {
-      // Stop *before* issuing the breakpointed packet; undo this cycle.
-      --stats_.cycles;
+    if (!step_over_breakpoint_ && breakpoints_.count(pc_) != 0) {
+      // Stop *before* issuing the breakpointed packet.
       state_ = RunState::kBreakpoint;
       drainPipeline();
       return state_;
     }
+    const uint64_t before = stats_.cycles;
+    issue(breakpoints_.empty() && !step_over_breakpoint_, budget);
     step_over_breakpoint_ = false;
-
-    const DecodedPacket& packet = fetch(pc_);
-    if (packet.has_mem && !devicesReady(packet)) {
-      ++stats_.stall_cycles;
-      continue;  // whole-machine stall
-    }
-    issuePacket(packet);
-    advanceIssueSlots(1);
+    budget -= stats_.cycles - before;
   }
   drainPipeline();
   return state_;

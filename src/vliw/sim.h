@@ -109,6 +109,8 @@ class V6xSim {
     uint32_t first;  ///< index into ops_
     uint32_t count;
     bool has_mem;
+    uint32_t run_end = 0;     ///< last packet of its run (DESIGN.md 5.5)
+    uint32_t run_cycles = 1;  ///< issue cycles from here to run_end
   };
   /// Register writes committing in one issue slot: at most one per
   /// register, so `mask` is also the double-write check.
@@ -133,6 +135,9 @@ class V6xSim {
   void scheduleWrite(uint8_t reg, uint32_t value, unsigned extra_slots);
   void issuePacket(const DecodedPacket& packet);
   void advanceIssueSlots(uint64_t n);
+  void idle(uint64_t n);  ///< n issue slots of a multi-cycle NOP's tail
+  /// Issues the packet at pc_ or its whole run, up to a device stall.
+  void issue(bool whole_run, uint64_t budget);
 
   std::vector<Packet> packets_;
   std::vector<DecodedPacket> decoded_;  ///< parallel to packets_

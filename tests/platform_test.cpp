@@ -5,6 +5,7 @@
 // description, not via code changes).
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -348,6 +349,214 @@ wait:   ldw d1, [a0]0x100
     EXPECT_EQ(r.sync_stall_cycles, row.stall_cycles) << row.rate;
     EXPECT_EQ(log, row.bus_log) << row.rate;
   }
+}
+
+// ---- packet runs against per-packet issue ---------------------------------
+//
+// The V6X issues straight-line packet runs in one loop and falls back to
+// per-packet issue for budget slices, breakpoints and device stalls
+// (DESIGN.md section 5.5). Every way of running a translated image must
+// end in the state that plain per-packet issue reaches.
+
+/// Base added to the generated-program seeds, from the CABT_TEST_SEED
+/// environment variable (default 0), as in random_program_test.
+uint32_t seedBase() {
+  const char* env = std::getenv("CABT_TEST_SEED");
+  return env != nullptr
+             ? static_cast<uint32_t>(std::strtoul(env, nullptr, 0))
+             : 0;
+}
+
+uint64_t mix(uint64_t x) {  // splitmix64 finalizer
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+/// Any breakpoint makes the V6X issue packet by packet; this address holds
+/// no packet, so the breakpoint is never hit.
+constexpr uint32_t kNeverHit = 0xfffffff0;
+
+/// Serves the V6X data memory below the io region and refuses accesses in
+/// the cycles a seeded hash picks, so that stalls land inside packet runs.
+class SeededStalls : public vliw::IoHandler {
+ public:
+  SeededStalls(vliw::V6xSim& sim, uint32_t limit, uint64_t seed)
+      : IoHandler(0, limit), sim_(sim), seed_(seed) {}
+  bool ready(uint32_t, bool) override {
+    return mix(seed_ ^ sim_.stats().cycles) % 5 != 0;
+  }
+  uint32_t load(uint32_t addr, unsigned size) override {
+    return sim_.memory().read(addr, size);
+  }
+  void store(uint32_t addr, uint32_t value, unsigned size) override {
+    sim_.memory().write(addr, value, size);
+  }
+
+ private:
+  vliw::V6xSim& sim_;
+  uint64_t seed_;
+};
+
+enum class Way { kPerPacket, kWhole, kSliced, kBreakpoint };
+
+const char* wayName(Way way) {
+  switch (way) {
+    case Way::kPerPacket:
+      return "per packet";
+    case Way::kWhole:
+      return "one run()";
+    case Way::kSliced:
+      return "run(k) slices";
+    case Way::kBreakpoint:
+      return "breakpoint";
+  }
+  return "?";
+}
+
+struct RunEnd {
+  vliw::RunState state = vliw::RunState::kRunning;
+  std::vector<uint64_t> stats;  ///< every SimStats counter
+  uint32_t pc = 0;
+  std::vector<uint32_t> regs;
+  uint64_t generated = 0;
+  uint64_t corrections = 0;
+  uint64_t starts = 0;
+  SparseMemory memory;
+};
+
+/// True when the six packets before packets[i] hold no NOP and no control
+/// transfer: then packets[i] lies inside a packet run, not at its start.
+bool insideRun(const std::vector<vliw::Packet>& packets, size_t i) {
+  if (i < 6) {
+    return false;
+  }
+  for (size_t k = i - 6; k < i; ++k) {
+    for (const vliw::MachineOp& op : packets[k].ops) {
+      if (op.opc == vliw::VOpc::kNop || vliw::isBranch(op.opc) ||
+          op.opc == vliw::VOpc::kHalt || op.opc == vliw::VOpc::kYield) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+RunEnd runOneWay(const elf::Object& image, Way way, bool stalls,
+                 uint64_t seed) {
+  const arch::ArchDescription desc = defaultArch();
+  EmulationPlatform plat(desc, image);
+  vliw::V6xSim& sim = plat.sim();
+  SeededStalls stall(sim, desc.memory_map.findNamed("io")->base, seed);
+  if (stalls) {
+    sim.addIoHandler(&stall);
+  }
+  uint64_t rng = seed;
+  const auto next = [&rng] { return mix(++rng); };
+  switch (way) {
+    case Way::kPerPacket:
+      sim.addBreakpoint(kNeverHit);
+      break;
+    case Way::kWhole:
+      break;
+    case Way::kSliced:
+      while (sim.stats().cycles < plat.config().max_cycles) {
+        const uint64_t k = 1 + next() % 64;
+        const uint64_t before = sim.stats().cycles;
+        const vliw::RunState s = sim.run(k);
+        const uint64_t used = sim.stats().cycles - before;
+        if (s != vliw::RunState::kMaxCycles) {
+          EXPECT_LE(used, k) << "a slice overran its budget";
+          break;
+        }
+        EXPECT_EQ(used, k) << "a slice stopped short of its budget";
+      }
+      break;
+    case Way::kBreakpoint: {
+      // Stop three times before a packet inside a run, then remove the
+      // breakpoint, so that the last resume enters the run in its middle.
+      const std::vector<vliw::Packet>& packets = sim.packets();
+      size_t i = next() % packets.size();
+      while (i + 1 < packets.size() && !insideRun(packets, i)) {
+        ++i;
+      }
+      const uint32_t addr = packets[i].addr;
+      sim.addBreakpoint(addr);
+      vliw::RunState s = sim.run(plat.config().max_cycles);
+      for (int hits = 1; s == vliw::RunState::kBreakpoint; ++hits) {
+        if (hits == 3) {
+          sim.removeBreakpoint(addr);
+        }
+        s = sim.resume(plat.config().max_cycles);
+      }
+      break;
+    }
+  }
+  RunEnd end;
+  end.state = plat.run().state;
+  const vliw::SimStats& st = sim.stats();
+  end.stats = {st.cycles,       st.issue_cycles, st.packets,
+               st.ops,          st.nop_cycles,   st.stall_cycles,
+               st.branches_taken};
+  end.pc = sim.pc();
+  for (uint8_t r = 0; r < 64; ++r) {
+    end.regs.push_back(sim.reg(r));
+  }
+  end.generated = plat.sync().totalGenerated();
+  end.corrections = plat.sync().correctionTotal();
+  end.starts = plat.sync().numStarts();
+  end.memory = sim.memory();
+  return end;
+}
+
+void expectSameEnd(const RunEnd& want, const RunEnd& got) {
+  EXPECT_EQ(got.state, want.state);
+  EXPECT_EQ(got.stats, want.stats)
+      << "cycles, issue_cycles, packets, ops, nop_cycles, stall_cycles, "
+         "branches_taken";
+  EXPECT_EQ(got.pc, want.pc);
+  EXPECT_EQ(got.regs, want.regs);
+  EXPECT_EQ(got.generated, want.generated);
+  EXPECT_EQ(got.corrections, want.corrections);
+  EXPECT_EQ(got.starts, want.starts);
+  EXPECT_TRUE(got.memory.contentEquals(want.memory));
+}
+
+TEST(PacketRuns, EveryWayOfRunningEndsInThePerPacketState) {
+  std::vector<GoldenProgram> programs = goldenPrograms();
+  for (uint32_t k = 1; k <= 20; ++k) {
+    const uint32_t seed = seedBase() + k;
+    programs.push_back(
+        {"seed " + std::to_string(seed),
+         trc::assemble(fuzz::ProgramGenerator(seed).generate()), true});
+  }
+  const arch::ArchDescription desc = defaultArch();
+  int perturbed = 0;  // images whose stats the seeded stalls changed
+  for (size_t p = 0; p < programs.size(); ++p) {
+    for (const xlat::DetailLevel level : kGoldenLevels) {
+      SCOPED_TRACE(programs[p].name + " at " +
+                   xlat::detailLevelName(level) + " (CABT_TEST_SEED base " +
+                   std::to_string(seedBase()) + ")");
+      xlat::TranslateOptions opts;
+      opts.level = level;
+      const elf::Object image =
+          xlat::translate(desc, programs[p].object, opts).image;
+      const uint64_t seed =
+          mix(seedBase() * 1000003ull + p * 4 + static_cast<uint64_t>(level));
+      const RunEnd plain = runOneWay(image, Way::kPerPacket, false, seed);
+      const RunEnd stalled = runOneWay(image, Way::kPerPacket, true, seed);
+      ASSERT_EQ(plain.state, vliw::RunState::kHalted);
+      ASSERT_EQ(stalled.state, vliw::RunState::kHalted);
+      perturbed += stalled.stats != plain.stats ? 1 : 0;
+      for (const Way way : {Way::kWhole, Way::kSliced, Way::kBreakpoint}) {
+        SCOPED_TRACE(wayName(way));
+        expectSameEnd(plain, runOneWay(image, way, false, seed));
+        SCOPED_TRACE("with seeded stalls");
+        expectSameEnd(stalled, runOneWay(image, way, true, seed));
+      }
+    }
+  }
+  EXPECT_GT(perturbed, 0) << "the seeded stalls never fired";
 }
 
 // ---- architecture variants (retargetability via the description) --------

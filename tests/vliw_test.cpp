@@ -2,6 +2,9 @@
 // rules, delay-slot timing, predication, device stalls.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/error.h"
 #include "vliw/isa.h"
 #include "vliw/sim.h"
@@ -584,9 +587,61 @@ TEST(V6xSimTest, HaltLandsInFlightWritesInDueOrder) {
   }
 }
 
+// ---- packet runs against per-packet issue (DESIGN.md 5.5) -------------------
+
+/// Any breakpoint makes run() issue packet by packet; this address holds
+/// no packet, so the breakpoint is never hit.
+constexpr uint32_t kNeverHit = 0xfffffff0;
+
+/// How running an image ended: the error or the stop state, plus the
+/// machine state and every counter either way.
+struct Ending {
+  bool loaded = false;
+  std::string error;
+  RunState state = RunState::kRunning;
+  Observed at;
+  std::vector<uint64_t> stats;
+  std::vector<uint32_t> memory;  ///< the words of every touched page
+  bool operator==(const Ending&) const = default;
+};
+
+/// Loads and runs `image`, resuming over up to three YIELDs, by packet
+/// runs or, with `per_packet`, packet by packet.
+Ending runToEnd(const elf::Object& image, bool per_packet) {
+  StallingHandler handler(0xfe000000, 2);
+  V6xSim sim;
+  sim.addIoHandler(&handler);
+  if (per_packet) {
+    sim.addBreakpoint(kNeverHit);
+  }
+  Ending e;
+  try {
+    sim.loadProgram(image);
+    e.loaded = true;
+    e.state = sim.run(10000);
+    for (int resumes = 0; resumes < 3 && e.state == RunState::kYielded;
+         ++resumes) {
+      e.state = sim.run(10000);
+    }
+  } catch (const Error& error) {
+    e.error = error.what();  // rejected: the contract for bad input
+  }
+  e.at = observe(sim);
+  const SimStats& st = sim.stats();
+  e.stats = {st.cycles,     st.issue_cycles, st.packets,       st.ops,
+             st.nop_cycles, st.stall_cycles, st.branches_taken};
+  for (const uint32_t page : sim.memory().touchedPages()) {
+    for (uint32_t a = page; a < page + SparseMemory::kPageSize; a += 4) {
+      e.memory.push_back(sim.memory().read32(a));
+    }
+  }
+  return e;
+}
+
 TEST(V6xSimTest, HostileImagesOnlyRaiseErrors) {
   // Byte flips over a program that exercises every op class: loading and
-  // running a mutant either works or throws cabt::Error, nothing else.
+  // running a mutant either works or throws cabt::Error, nothing else,
+  // and packet runs end exactly where per-packet issue does.
   const uint32_t base = 0x100000;
   MachineOp pred_b = op(VOpc::kB, S1, kNoReg, kNoReg, kNoReg,
                         static_cast<int32_t>(base + 4 * 4));
@@ -623,22 +678,75 @@ TEST(V6xSimTest, HostileImagesOnlyRaiseErrors) {
     for (uint64_t flips = 1 + next() % 4; flips > 0; --flips) {
       text[next() % text.size()] ^= static_cast<uint8_t>(1 + next() % 255);
     }
-    StallingHandler handler(0xfe000000, 2);
-    V6xSim sim;
-    sim.addIoHandler(&handler);
-    try {
-      sim.loadProgram(image);
-      ++loaded;
-      for (int resumes = 0; resumes < 4; ++resumes) {
-        if (sim.run(10000) != RunState::kYielded) {
-          break;
-        }
-      }
-    } catch (const Error&) {
-      // Rejected: the contract for bad input.
-    }
+    const Ending by_runs = runToEnd(image, false);
+    EXPECT_EQ(by_runs, runToEnd(image, true)) << "mutant " << mutant;
+    loaded += by_runs.loaded ? 1 : 0;
   }
   EXPECT_GT(loaded, 0);
+}
+
+TEST(V6xSimTest, PacketRunsEndLikePerPacketIssue) {
+  const uint32_t base = 0x100000;
+  const auto b = [](uint32_t target) {
+    return op(VOpc::kB, S1, kNoReg, kNoReg, kNoReg,
+              static_cast<int32_t>(target));
+  };
+  const auto same = [](const elf::Object& image) {
+    const Ending by_runs = runToEnd(image, false);
+    EXPECT_EQ(by_runs, runToEnd(image, true));
+    return by_runs;
+  };
+
+  // A branch whose delay slots fall off the end of its code section; the
+  // next section starts after a gap.
+  elf::Object off_end = makeImage(
+      {{0, {mvk(regA(1), 1)}}, {0, {b(base)}}, {0, {mvk(regA(2), 2)}}});
+  elf::Section far = off_end.sections[0];
+  std::vector<Packet> far_packets{{0, {mvk(regA(3), 3)}}, {0, {halt()}}};
+  far.addr = base + 0x100;
+  far.data = encodeProgram(far_packets, far.addr);
+  off_end.sections.push_back(std::move(far));
+  Ending e = same(off_end);
+  EXPECT_NE(e.error.find("not a packet start"), std::string::npos) << e.error;
+  EXPECT_EQ(e.at.regs[regA(2)], 2u);
+  EXPECT_EQ(e.at.regs[regA(3)], 0u);
+
+  // A branch into the middle of a two-op packet.
+  e = same(makeImage({{0, {mvk(regA(1), 1), mvk(regA(2), 2, S2)}},
+                      {0, {b(base + 4)}},
+                      {0, {nop(5)}},
+                      {0, {halt()}}}));
+  EXPECT_NE(e.error.find("not a packet start"), std::string::npos) << e.error;
+  EXPECT_EQ(e.at.cycles, 8u);  // mvk, b, nop 5, then the failed fetch
+
+  // YIELD in the middle of straight-line code.
+  e = same(makeImage({{0, {mvk(regA(1), 1)}},
+                      {0, {mvk(regA(2), 2)}},
+                      {0, {op(VOpc::kYield, S1, kNoReg)}},
+                      {0, {mvk(regA(3), 3)}},
+                      {0, {halt()}}}));
+  EXPECT_EQ(e.state, RunState::kHalted);
+  EXPECT_EQ(e.at.regs[regA(3)], 3u);
+  EXPECT_EQ(e.at.cycles, 5u);
+
+  // A predicated-false NOP 5 in a branch's delay slots idles one cycle,
+  // so the redirect comes four packets after it: later than the NOP's
+  // length suggests. (The assembler rejects predicated NOPs; patch one.)
+  std::vector<Packet> pred_nop{
+      {0, {mvk(regA(1), 0)}}, {0, {b(base + 9 * 4)}}, {0, {nop(5)}}};
+  for (int r = 2; r <= 6; ++r) {
+    pred_nop.push_back({0, {mvk(regA(r), 1)}});
+  }
+  pred_nop.push_back({0, {halt()}});
+  pred_nop.push_back({0, {mvk(regA(9), 9)}});  // the branch target
+  pred_nop.push_back({0, {halt()}});
+  elf::Object image = makeImage(std::move(pred_nop));
+  image.sections[0].data[2 * 4 + 3] |= 0x40;  // the NOP word: [a1]
+  e = same(image);
+  EXPECT_EQ(e.state, RunState::kHalted);
+  EXPECT_EQ(e.at.regs[regA(5)], 1u);
+  EXPECT_EQ(e.at.regs[regA(6)], 0u);
+  EXPECT_EQ(e.at.regs[regA(9)], 9u);
 }
 
 TEST(V6xSimTest, ToStringIsReadable) {
