@@ -13,7 +13,7 @@ namespace cabt::vliw {
 constexpr uint32_t kMaxCodeSpan = 16u << 20;
 constexpr uint32_t kMaxRunPackets = 64;  ///< outside a branch's delay slots
 
-// Errors thrown out of line, so that the issue loop keeps a small frame.
+namespace {  // errors thrown out of line keep the issue loop's frame small
 [[noreturn, gnu::cold, gnu::noinline]] void fail(const char* what) {
   detail::throwError("V6xSim::run", what);
 }
@@ -21,6 +21,7 @@ constexpr uint32_t kMaxRunPackets = 64;  ///< outside a branch's delay slots
   CABT_FAIL("two in-flight writes to " << regName(reg)
                                        << " commit in the same cycle");
 }
+}  // namespace
 
 V6xSim::V6xSim() = default;
 
@@ -67,8 +68,7 @@ void V6xSim::loadProgram(const elf::Object& image) {
   for (size_t i = packets_.size(); i-- > 0;) {  // the first of duplicates wins
     packet_at_[(packets_[i].addr - lo) / 4] = static_cast<uint32_t>(i + 1);
   }
-  // Packet runs (DESIGN.md 5.5). Forward: own issue cycles, and run_end =
-  // i where a run ends (a predicated NOP ends one), else i + 1.
+  // Packet runs (DESIGN.md 5.5): run_end = i where a run ends, else i + 1.
   uint32_t len = 0;
   uint64_t left = 0;  // slots until an in-run branch redirects; 0 = none
   for (uint32_t i = 0; i < decoded_.size(); ++i) {

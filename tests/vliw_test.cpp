@@ -631,8 +631,8 @@ Ending runToEnd(const elf::Object& image, bool per_packet) {
   e.stats = {st.cycles,     st.issue_cycles, st.packets,       st.ops,
              st.nop_cycles, st.stall_cycles, st.branches_taken};
   for (const uint32_t page : sim.memory().touchedPages()) {
-    for (uint32_t a = page; a < page + SparseMemory::kPageSize; a += 4) {
-      e.memory.push_back(sim.memory().read32(a));
+    for (uint32_t off = 0; off < SparseMemory::kPageSize; off += 4) {
+      e.memory.push_back(sim.memory().read32(page + off));
     }
   }
   return e;
